@@ -29,7 +29,7 @@ from .corpus import (
     save_examples,
     split_store,
 )
-from .generation import BeamConfig, attention_dump, beam_search
+from .generation import BeamConfig, attention_dump, beam_search, check_max_len
 from .graph import PenmanError, iter_penman_blocks, parse_penman, serialize_penman
 from .langs import DEFAULT_LANGUAGES, check_language, is_lang_token, parse_lang_token
 from .linearize import (
@@ -541,6 +541,7 @@ def cmd_generate(args, cfg, provided) -> int:
     dec_model = load_bpe(args.dec_bpe)
     params = load_checkpoint(args.model)
     bcfg = _beam_config(cfg)
+    check_max_len(params, bcfg.max_len)
     lins = _load_lin_inputs(args.input, args.features)
     _echo_config(
         args.out_dir,
@@ -638,14 +639,14 @@ def cmd_attention_dump(args, cfg, provided) -> int:
     enc_model = load_bpe(args.enc_bpe)
     dec_model = load_bpe(args.dec_bpe)
     params = load_checkpoint(args.model)
+    bcfg = _beam_config(cfg)
+    check_max_len(params, bcfg.max_len)
     lins = _load_lin_inputs(args.input, args.features)
     if not 0 <= args.line < len(lins):
         raise ValueError(f"--line {args.line} outside input range 0..{len(lins) - 1}")
     lin = _with_lang(lins[args.line], args.lang)
     enc_in, src_ids = _encoder_input(lin, enc_model)
-    best, _ = beam_search(
-        params, enc_in, _beam_config(cfg), dec_model.bos_id, dec_model.eos_id
-    )
+    best, _ = beam_search(params, enc_in, bcfg, dec_model.bos_id, dec_model.eos_id)
     _echo_config(
         args.out_dir,
         "attention-dump",

@@ -6,6 +6,15 @@ and score = logprob / lp(n).  Finished hypotheses are set aside as they
 produce eos (they do not occupy beam slots); live beams are ranked by raw
 logprob, finished ones by score.  A beam that reaches max_len without eos
 is force-finished with eos so the search always returns something.
+
+Beam search and greedy decoding both drive ``model.decode_step``: the
+input is encoded once, cross-attention keys and values are projected once,
+and each step runs the decoder over one new position per live beam, with
+the earlier positions' self-attention keys and values read from a cache
+that follows the surviving beams.  Candidates are picked from the flattened
+beam x vocabulary totals with ``np.argpartition``; every total tied at the
+cut-off is kept and the small pool is sorted by (-logprob, ids), so the
+choice is that of a full sort.
 """
 
 from __future__ import annotations
@@ -14,8 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EncoderInput, ModelParams, decoder_forward, encode
-from .tensor import Tensor, no_grad
+from .model import (
+    DecoderState,
+    EncoderInput,
+    ModelParams,
+    PrefixTooLong,
+    decode_step,
+    decoder_forward,
+    encode,
+)
+from .tensor import no_grad
 
 
 class NoHypothesis(RuntimeError):
@@ -69,6 +86,34 @@ def _finalize(ids: tuple[int, ...], logprob: float, alpha: float) -> Hypothesis:
     return Hypothesis(ids=ids, logprob=logprob, score=logprob / length_penalty(n, alpha))
 
 
+def check_max_len(params: ModelParams, max_len: int) -> None:
+    """Reject a length budget the decoder's position table cannot reach."""
+    limit = params.config.max_positions
+    if max_len > limit:
+        raise PrefixTooLong(f"max_len {max_len} exceeds the model's max_positions {limit}")
+
+
+def top_candidates(
+    totals: np.ndarray, prefixes: list[tuple[int, ...]], k: int
+) -> list[tuple[int, int]]:
+    """The k best (row, token) extensions of ``prefixes`` by ``totals`` (rows, V).
+
+    Ranked by total descending, ties by the extended id sequence ascending;
+    -inf totals are never candidates.  Every total tied with the k-th best
+    joins the sorted pool, so the tie-break sees all of them.
+    """
+    flat = totals.ravel()
+    k = min(k, flat.size)
+    cut = flat[np.argpartition(flat, -k)[-k:]].min()
+    pool = np.flatnonzero((flat >= cut) & (flat != -np.inf))
+    rows, tokens = np.divmod(pool, totals.shape[1])
+    ranked = sorted(
+        zip(flat[pool].tolist(), rows.tolist(), tokens.tolist()),
+        key=lambda c: (-c[0], prefixes[c[1]] + (c[2],)),
+    )
+    return [(row, token) for _, row, token in ranked[:k]]
+
+
 def beam_search(
     params: ModelParams,
     enc_input: EncoderInput,
@@ -81,52 +126,34 @@ def beam_search(
     Returns (best hypothesis by score, n-best list of size <= beam_size,
     deduplicated by id sequence, sorted by score descending).
     """
+    check_max_len(params, cfg.max_len)
+    alpha = cfg.length_penalty_alpha
     with no_grad():
         memory, memory_mask = encode(params, enc_input)
-        live: list[tuple[tuple[int, ...], float]] = [((bos_id,), 0.0)]
+        state = DecoderState(params, memory, memory_mask, bos_id)
+        live: list[tuple[int, ...]] = [(bos_id,)]
+        live_logprob = np.zeros(1, dtype=memory.data.dtype)
+        last = np.asarray([bos_id])
         finished: list[Hypothesis] = []
-        for _ in range(cfg.max_len):
-            prefixes = np.asarray([ids for ids, _ in live], dtype=np.int64)
-            b = prefixes.shape[0]
-            mem = memory
-            mask = memory_mask
-            if b > 1:
-                # One encoder state row repeated across all live beams.
-                mem_data = np.repeat(memory.data, b, axis=0)
-                mem = Tensor(mem_data, dtype=mem_data.dtype)
-                mask = np.repeat(memory_mask, b, axis=0)
-            logits, _ = decoder_forward(params, mem, mask, prefixes)
-            logp = _log_softmax(logits.data[:, -1, :])
-            candidates: list[tuple[tuple[int, ...], float]] = []
-            for row, (ids, lp_sum) in enumerate(live):
-                n_generated = len(ids) - 1
-                scores = logp[row]
-                if n_generated + 1 < cfg.min_len:
-                    scores = scores.copy()
-                    scores[eos_id] = -np.inf
-                if n_generated + 1 >= cfg.max_len:
-                    # Budget exhausted on the next token: force eos.
-                    finished.append(
-                        _finalize(
-                            ids + (eos_id,), lp_sum + scores[eos_id],
-                            cfg.length_penalty_alpha,
-                        )
-                    )
-                    continue
-                for token in range(scores.shape[0]):
-                    total = lp_sum + scores[token]
-                    if total == -np.inf:
-                        continue
-                    if token == eos_id:
-                        finished.append(
-                            _finalize(ids + (eos_id,), total, cfg.length_penalty_alpha)
-                        )
-                    else:
-                        candidates.append((ids + (token,), total))
-            candidates.sort(key=lambda c: (-c[1], c[0]))
-            live = candidates[: cfg.beam_size]
-            if not live:
+        for n_generated in range(cfg.max_len):
+            logp = _log_softmax(decode_step(params, state, last))
+            if n_generated + 1 < cfg.min_len:
+                logp[:, eos_id] = -np.inf
+            totals = live_logprob[:, None] + logp
+            for ids, total in zip(live, totals[:, eos_id]):
+                if total != -np.inf:
+                    finished.append(_finalize(ids + (eos_id,), total, alpha))
+            if n_generated + 1 >= cfg.max_len:
+                break  # budget exhausted: every live beam was forced to eos
+            totals[:, eos_id] = -np.inf
+            picked = top_candidates(totals, live, cfg.beam_size)
+            if not picked:
                 break
+            rows = np.asarray([row for row, _ in picked])
+            last = np.asarray([token for _, token in picked])
+            live = [live[row] + (token,) for row, token in picked]
+            live_logprob = totals[rows, last]
+            state.reorder(rows)
     if not finished:
         raise NoHypothesis("no hypothesis reached eos within max_len")
     finished.sort(key=lambda h: (-h.score, h.ids))
@@ -149,13 +176,14 @@ def greedy(
     eos_id: int,
 ) -> Hypothesis:
     """Argmax decoding; the score is the raw logprob (alpha 0)."""
+    check_max_len(params, max_len)
     with no_grad():
         memory, memory_mask = encode(params, enc_input)
+        state = DecoderState(params, memory, memory_mask, bos_id)
         ids: tuple[int, ...] = (bos_id,)
         logprob = 0.0
         for _ in range(max_len):
-            logits, _ = decoder_forward(params, memory, memory_mask, np.asarray([ids]))
-            logp = _log_softmax(logits.data[0, -1, :])
+            logp = _log_softmax(decode_step(params, state, [ids[-1]]))[0]
             if len(ids) - 1 + 1 >= max_len:
                 token = eos_id
             else:

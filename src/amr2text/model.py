@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -262,32 +261,31 @@ def _check_ids(name: str, ids: np.ndarray, table_rows: int) -> np.ndarray:
     return ids
 
 
-def _attention(
+def _heads(params: ModelParams, prefix: str, w: str, x: Tensor) -> Tensor:
+    """Project x (B, T, d_model) with weights ``w`` into heads (B, H, T, d_head)."""
+    cfg = params.config
+    b, t, _ = x.shape
+    y = T.add(T.matmul(x, params[f"{prefix}.w{w}"]), params[f"{prefix}.b{w}"])
+    return T.swapaxes(T.reshape(y, (b, t, cfg.n_heads, cfg.d_model // cfg.n_heads)), 1, 2)
+
+
+def _attend(
     params: ModelParams,
     prefix: str,
-    x_q: Tensor,
-    x_kv: Tensor,
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
     mask: np.ndarray | None,
     training: bool,
     gen: np.random.Generator | None,
 ):
-    """Multi-head scaled dot-product attention.
+    """Scaled dot-product attention over projected heads, then the output projection.
 
-    Returns the output and the softmax weights (B, H, Tq, Tk) before
-    attention dropout, for inspection dumps.
+    Returns the output (B, Tq, d_model) and the softmax weights
+    (B, H, Tq, Tk) before attention dropout, for inspection dumps.
     """
     cfg = params.config
-    b, tq, d = x_q.shape
-    tk = x_kv.shape[1]
-    h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-
-    def heads(x: Tensor, w: str, bias: str, t: int) -> Tensor:
-        y = T.add(T.matmul(x, params[f"{prefix}.{w}"]), params[f"{prefix}.{bias}"])
-        return T.swapaxes(T.reshape(y, (b, t, h, dh)), 1, 2)
-
-    q = heads(x_q, "wq", "bq", tq)
-    k = heads(x_kv, "wk", "bk", tk)
-    v = heads(x_kv, "wv", "bv", tk)
+    b, h, tq, dh = q.shape
     scores = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / np.sqrt(dh))
     if mask is not None:
         scores = T.add(scores, mask.astype(scores.data.dtype))
@@ -295,7 +293,7 @@ def _attention(
     attended = weights
     if training and cfg.dropout > 0.0 and gen is not None:
         attended = T.dropout(weights, cfg.dropout, gen, training)
-    ctx = T.reshape(T.swapaxes(T.matmul(attended, v), 1, 2), (b, tq, d))
+    ctx = T.reshape(T.swapaxes(T.matmul(attended, v), 1, 2), (b, tq, h * dh))
     out = T.add(T.matmul(ctx, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
     return out, weights
 
@@ -364,14 +362,96 @@ def encode(
         if not keep[i]:
             continue
         gen = rng.stream("drop", "enc", i, step) if rng else None
+        prefix = f"enc.{i}.attn"
         normed = _ln(params, f"enc.{i}.ln1", x)
-        attn_out, _ = _attention(
-            params, f"enc.{i}.attn", normed, normed, attn_mask, training, gen
-        )
+        q, k, v = (_heads(params, prefix, w, normed) for w in "qkv")
+        attn_out, _ = _attend(params, prefix, q, k, v, attn_mask, training, gen)
         x = T.add(x, _residual_dropout(attn_out, cfg, training, gen))
         ffn_out = _ffn(params, f"enc.{i}.ffn", _ln(params, f"enc.{i}.ln2", x))
         x = T.add(x, _residual_dropout(ffn_out, cfg, training, gen))
     return _ln(params, "enc_final_ln", x), pad_mask
+
+
+def _decoder_input(params: ModelParams, ids: np.ndarray, positions: np.ndarray) -> Tensor:
+    x = T.concat_last_dim(
+        [T.embed(params["dec_word_emb"], ids), T.embed(params["dec_pos_emb"], positions)]
+    )
+    return T.add(T.matmul(x, params["dec_in_proj"]), params["dec_in_bias"])
+
+
+def _memory_kv(params: ModelParams, layer: int, memory: Tensor) -> tuple[Tensor, Tensor]:
+    prefix = f"dec.{layer}.cross_attn"
+    return _heads(params, prefix, "k", memory), _heads(params, prefix, "v", memory)
+
+
+class _PrefixKV:
+    """Keys and values for a decoder pass over whole prefixes: nothing cached."""
+
+    def __init__(self, params: ModelParams, memory: Tensor | None):
+        self.params = params
+        self.memory = memory
+
+    def self_kv(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        return k, v
+
+    def cross_kv(self, layer: int) -> tuple[Tensor, Tensor] | None:
+        return None if self.memory is None else _memory_kv(self.params, layer, self.memory)
+
+
+def _decoder_layers(
+    params: ModelParams,
+    x: Tensor,
+    kv,
+    self_mask: np.ndarray | None,
+    cross_mask: np.ndarray | None,
+    training: bool = False,
+    rng: Rng | None = None,
+    step: int = 0,
+    collect_attention: bool = False,
+) -> tuple[Tensor, list[np.ndarray]]:
+    """The decoder stack from its projected input x to logits.
+
+    ``kv`` supplies attention keys and values: ``kv.self_kv(i, k, v)`` turns
+    layer i's keys and values for the new positions into those of every
+    position the queries see, and ``kv.cross_kv(i)`` gives layer i's
+    projected encoder memory, or None in LM mode.
+    """
+    cfg = params.config
+    x = _residual_dropout(x, cfg, training, rng.stream("drop", "dec_in", step) if rng else None)
+    keep = (
+        layerdrop_mask(cfg.layerdrop, rng.stream("layerdrop", "dec", step), cfg.dec_layers)
+        if training and rng is not None
+        else np.ones(cfg.dec_layers, dtype=bool)
+    )
+    cross_weights: list[np.ndarray] = []
+    for i in range(cfg.dec_layers):
+        if not keep[i]:
+            continue
+        gen = rng.stream("drop", "dec", i, step) if rng else None
+        prefix = f"dec.{i}.self_attn"
+        normed = _ln(params, f"dec.{i}.ln1", x)
+        q, k, v = (_heads(params, prefix, w, normed) for w in "qkv")
+        k, v = kv.self_kv(i, k, v)
+        self_out, _ = _attend(params, prefix, q, k, v, self_mask, training, gen)
+        x = T.add(x, _residual_dropout(self_out, cfg, training, gen))
+        cross = kv.cross_kv(i)
+        if cross is not None:
+            prefix = f"dec.{i}.cross_attn"
+            q = _heads(params, prefix, "q", _ln(params, f"dec.{i}.ln2", x))
+            cross_out, weights = _attend(params, prefix, q, *cross, cross_mask, training, gen)
+            x = T.add(x, _residual_dropout(cross_out, cfg, training, gen))
+            if collect_attention:
+                cross_weights.append(weights.data.copy())
+        ffn_out = _ffn(params, f"dec.{i}.ffn", _ln(params, f"dec.{i}.ln3", x))
+        x = T.add(x, _residual_dropout(ffn_out, cfg, training, gen))
+    x = _ln(params, "dec_final_ln", x)
+    hidden = T.add(T.matmul(x, params["dec_out_proj"]), params["dec_out_bias"])
+    logits = T.matmul(hidden, T.swapaxes(params["dec_word_emb"], 0, 1))
+    return logits, cross_weights
+
+
+def _memory_mask(memory_mask: np.ndarray) -> np.ndarray:
+    return np.where(memory_mask[:, None, None, :], 0.0, NEG_INF)
 
 
 def decoder_forward(
@@ -401,73 +481,86 @@ def decoder_forward(
         )
     _check_ids("dec_word_emb", prefix_ids, cfg.dec_vocab)
     n, t = prefix_ids.shape
-    pos_ids = np.broadcast_to(np.arange(t), (n, t))
-    x = T.concat_last_dim(
-        [T.embed(params["dec_word_emb"], prefix_ids), T.embed(params["dec_pos_emb"], pos_ids)]
-    )
-    x = T.add(T.matmul(x, params["dec_in_proj"]), params["dec_in_bias"])
-    x = _residual_dropout(x, cfg, training, rng.stream("drop", "dec_in", step) if rng else None)
-
+    x = _decoder_input(params, prefix_ids, np.broadcast_to(np.arange(t), (n, t)))
     causal = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, NEG_INF)[None, None]
-    cross_mask = (
-        None
-        if memory is None or memory_mask is None
-        else np.where(memory_mask[:, None, None, :], 0.0, NEG_INF)
+    cross_mask = None if memory is None or memory_mask is None else _memory_mask(memory_mask)
+    return _decoder_layers(
+        params, x, _PrefixKV(params, memory), causal, cross_mask,
+        training, rng, step, collect_attention,
     )
-    keep = (
-        layerdrop_mask(cfg.layerdrop, rng.stream("layerdrop", "dec", step), cfg.dec_layers)
-        if training and rng is not None
-        else np.ones(cfg.dec_layers, dtype=bool)
-    )
-    cross_weights: list[np.ndarray] = []
-    for i in range(cfg.dec_layers):
-        if not keep[i]:
-            continue
-        gen = rng.stream("drop", "dec", i, step) if rng else None
-        normed = _ln(params, f"dec.{i}.ln1", x)
-        self_out, _ = _attention(
-            params, f"dec.{i}.self_attn", normed, normed, causal, training, gen
-        )
-        x = T.add(x, _residual_dropout(self_out, cfg, training, gen))
+
+
+class DecoderState:
+    """What incremental decoding of one input carries from step to step.
+
+    Each decoder layer's self-attention keys and values for every position
+    fed so far, one row per live hypothesis (rows, H, length, d_head), and
+    its cross-attention keys and values, projected once from the encoder
+    memory and broadcast over the rows.  memory=None runs LM mode.
+    """
+
+    def __init__(
+        self,
+        params: ModelParams,
+        memory: Tensor | None,
+        memory_mask: np.ndarray | None,
+        bos_id: int,
+    ):
+        n_layers = params.config.dec_layers
+        self.bos_id = bos_id
+        self.length = 0
+        self.keys: list[np.ndarray | None] = [None] * n_layers
+        self.values: list[np.ndarray | None] = [None] * n_layers
+        self.cross: list[tuple[Tensor, Tensor]] | None = None
+        self.cross_mask = None
         if memory is not None:
-            cross_out, weights = _attention(
-                params,
-                f"dec.{i}.cross_attn",
-                _ln(params, f"dec.{i}.ln2", x),
-                memory,
-                cross_mask,
-                training,
-                gen,
-            )
-            x = T.add(x, _residual_dropout(cross_out, cfg, training, gen))
-            if collect_attention:
-                cross_weights.append(weights.data.copy())
-        ffn_out = _ffn(params, f"dec.{i}.ffn", _ln(params, f"dec.{i}.ln3", x))
-        x = T.add(x, _residual_dropout(ffn_out, cfg, training, gen))
-    x = _ln(params, "dec_final_ln", x)
-    hidden = T.add(T.matmul(x, params["dec_out_proj"]), params["dec_out_bias"])
-    logits = T.matmul(hidden, T.swapaxes(params["dec_word_emb"], 0, 1))
-    return logits, cross_weights
+            if memory.shape[0] != 1:
+                raise ValueError(f"memory holds {memory.shape[0]} inputs, expected one")
+            with T.no_grad():
+                self.cross = [_memory_kv(params, i, memory) for i in range(n_layers)]
+            if memory_mask is not None:
+                self.cross_mask = _memory_mask(memory_mask)
+
+    def self_kv(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        if self.keys[layer] is not None:
+            k = Tensor(np.concatenate([self.keys[layer], k.data], axis=2), dtype=k.data.dtype)
+            v = Tensor(np.concatenate([self.values[layer], v.data], axis=2), dtype=v.data.dtype)
+        self.keys[layer], self.values[layer] = k.data, v.data
+        return k, v
+
+    def cross_kv(self, layer: int) -> tuple[Tensor, Tensor] | None:
+        return None if self.cross is None else self.cross[layer]
+
+    def reorder(self, rows) -> None:
+        """Keep row ``rows[j]`` as new row j, after at least one step."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.keys = [k[rows] for k in self.keys]
+        self.values = [v[rows] for v in self.values]
 
 
-def decode_step(
-    params: ModelParams,
-    memory: Tensor | None,
-    memory_mask: np.ndarray | None,
-    prefix_ids: Sequence[int],
-    bos_id: int,
-    collect_attention: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Next-token logits for one prefix; prefix must begin with bos."""
-    prefix = np.asarray(list(prefix_ids), dtype=np.int64)
-    if prefix.size == 0 or prefix[0] != bos_id:
-        raise ValueError("prefix must begin with the bos id")
-    with T.no_grad():
-        logits, weights = decoder_forward(
-            params, memory, memory_mask, prefix[None, :], collect_attention=collect_attention
+def decode_step(params: ModelParams, state: DecoderState, last_ids) -> np.ndarray:
+    """Next-token logits (rows, dec_vocab) after one new position per row.
+
+    ``last_ids`` holds each row's newest id, bos on the first step.  Only
+    the new positions run through the decoder; earlier ones are read from
+    ``state``, which grows by one position.
+    """
+    cfg = params.config
+    ids = np.asarray(last_ids, dtype=np.int64).reshape(-1, 1)
+    if state.length == 0 and np.any(ids != state.bos_id):
+        raise ValueError("the first decode step must feed the bos id")
+    if state.length >= cfg.max_positions:
+        raise PrefixTooLong(
+            f"prefix length {state.length + 1} exceeds max_positions {cfg.max_positions}"
         )
-    last = logits.data[0, -1, :]
-    return last, [w[0, :, -1, :] for w in weights]
+    _check_ids("dec_word_emb", ids, cfg.dec_vocab)
+    with T.no_grad():
+        # (rows, 1, d) throughout, never (rows, d): a stacked matmul gives
+        # each row the same bits however many rows are live.
+        x = _decoder_input(params, ids, np.full_like(ids, state.length))
+        logits, _ = _decoder_layers(params, x, state, None, state.cross_mask)
+    state.length += 1
+    return logits.data[:, 0, :]
 
 
 def load_decoder_embeddings(

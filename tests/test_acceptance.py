@@ -34,6 +34,7 @@ from amr2text.generation import BeamConfig, beam_search, greedy, attention_dump,
 from amr2text.graph import parse_penman, serialize_penman
 from amr2text.linearize import compute_node_features, linearize, prepend_language_token, linearize_for_language
 from amr2text.model import (
+    DecoderState,
     EncoderInput,
     ModelConfig,
     build,
@@ -383,7 +384,9 @@ def test_c07_beam_exactness_and_dominance_50_models():
             memory, mask = model_encode(params, enc)
 
         def step(prefix):
-            last, _ = decode_step(params, memory, mask, prefix, BOS)
+            state = DecoderState(params, memory, mask, BOS)
+            for token in prefix:
+                last = decode_step(params, state, [token])[0]
             shifted = last - last.max()
             return shifted - np.log(np.exp(shifted).sum())
 

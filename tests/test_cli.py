@@ -1,15 +1,25 @@
 """Command-line interface tests: exit codes, config handling, light commands.
 
-Heavy subcommands (train, pretraining, generation) are exercised end to
-end by the acceptance tests; here each one's argument surface and the
-shared config machinery are verified on fast paths.
+Pretraining is exercised end to end by the acceptance tests.  The README
+quickstart chain (linearize, train-bpe, build-corpus, train, generate,
+evaluate, attention-dump) runs here on data/toy with a tiny model and a few updates.
 """
 
 import os
 
+import numpy as np
 import pytest
 
+from amr2text import cli
+from amr2text.bpe import decode as bpe_decode
+from amr2text.bpe import load_bpe
+from amr2text.corpus import encode_linearized
+from amr2text.generation import BeamConfig, beam_search, read_attention_dump
+from amr2text.linearize import read_linearized
+from amr2text.model import EncoderInput, load_checkpoint
 from amr2text.cli import DEFAULTS, main
+
+TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
 
 AMRS = [
     "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))",
@@ -256,3 +266,118 @@ def test_overlap_stats_bad_bleu_value(tmp_path, amr_file):
         "overlap-stats", "--amr", amr_file, "--bpe", "x",
         "--target", "en=/nope", "--bleu", "en=notanumber",
     ) == 1
+
+
+# --- quickstart chain --------------------------------------------------------
+
+TINY_MODEL = """\
+model.d_model = 32
+model.n_heads = 2
+model.ffn_dim = 48
+model.enc_layers = 1
+model.dec_layers = 1
+model.max_positions = 40
+model.d_word = 16
+model.d_pos = 8
+model.d_depth = 4
+model.d_subgraph = 4
+train.base_lr = 0.002
+train.warmup_steps = 2
+train.max_updates = 4
+train.checkpoint_every = 2
+train.dropout = 0.0
+train.layerdrop = 0.0
+"""
+MAX_LEN = 12
+
+
+@pytest.fixture(scope="module")
+def quickstart(tmp_path_factory):
+    """Files of the README quickstart, stages 1-6 without the human-eval sheet."""
+    w = tmp_path_factory.mktemp("quickstart")
+    paths = {
+        "enc_bpe": str(w / "enc-bpe" / "bpe.model"),
+        "dec_bpe": str(w / "dec-bpe" / "bpe.model"),
+        "model": str(w / "run" / "best.ckpt"),
+        "test_lin": str(w / "test.en.lin"),
+        "w": w,
+    }
+    (w / "train.cfg").write_text(TINY_MODEL, encoding="utf-8")
+    steps = [
+        ["linearize", "--in", f"{TOY}/train.amr", "--out", str(w / "graphs.lin")],
+        ["train-bpe", "--in", str(w / "graphs.lin"), "--merges", "60", "--protect-roles",
+         "--languages", "en,de", "--out-dir", str(w / "enc-bpe")],
+        ["train-bpe", "--in", f"{TOY}/train.en.txt", "--in", f"{TOY}/train.de.txt",
+         "--merges", "60", "--languages", "en,de", "--out-dir", str(w / "dec-bpe")],
+        ["build-corpus", "--manifest", f"{TOY}/manifest.tsv", "--enc-bpe", paths["enc_bpe"],
+         "--dec-bpe", paths["dec_bpe"], "--languages", "en,de", "--out-dir", str(w / "corpus")],
+        ["train", "--corpus", str(w / "corpus"), "--enc-bpe", paths["enc_bpe"],
+         "--dec-bpe", paths["dec_bpe"], "--seed", "1", "--config", str(w / "train.cfg"),
+         "--out-dir", str(w / "run")],
+        ["linearize", "--in", f"{TOY}/test.amr", "--out", paths["test_lin"], "--lang", "en"],
+    ]
+    for beam in (5, 1):
+        steps.append(
+            ["generate", "--model", paths["model"], "--input", paths["test_lin"],
+             "--enc-bpe", paths["enc_bpe"], "--dec-bpe", paths["dec_bpe"],
+             "--beam", str(beam), "--max-len", str(MAX_LEN), "--out-dir", str(w / f"gen{beam}")]
+        )
+    steps.append(["evaluate", "--hyp", str(w / "gen5" / "hypotheses.txt"),
+                  "--ref", f"{TOY}/test.en.txt", "--out-dir", str(w / "bleu")])
+    steps.append(
+        ["attention-dump", "--model", paths["model"], "--input", paths["test_lin"],
+         "--line", "0", "--enc-bpe", paths["enc_bpe"], "--dec-bpe", paths["dec_bpe"],
+         "--max-len", str(MAX_LEN), "--out-dir", str(w / "attn")]
+    )
+    for argv in steps:
+        assert run(*argv) == 0, argv
+    return paths
+
+
+def _library_beam(paths, line: int, beam: int):
+    enc, dec = load_bpe(paths["enc_bpe"]), load_bpe(paths["dec_bpe"])
+    lin = read_linearized(paths["test_lin"], paths["test_lin"] + ".feat")[line]
+    ids, depth, sub = encode_linearized(lin, enc)
+    enc_in = EncoderInput(np.asarray(ids), np.asarray(depth), np.asarray(sub))
+    cfg = BeamConfig(beam_size=beam, max_len=MAX_LEN, min_len=DEFAULTS["beam.min_len"])
+    best, _ = beam_search(load_checkpoint(paths["model"]), enc_in, cfg, dec.bos_id, dec.eos_id)
+    return best, ids, dec
+
+
+@pytest.mark.parametrize("beam", [5, 1])
+def test_quickstart_generate_matches_library_search(quickstart, beam):
+    out = quickstart["w"] / f"gen{beam}"
+    hyps = (out / "hypotheses.txt").read_text(encoding="utf-8").splitlines()
+    scores = (out / "scores.txt").read_text(encoding="utf-8").splitlines()
+    assert len(hyps) == len(scores) == 8
+    for line in range(len(hyps)):
+        best, _, dec = _library_beam(quickstart, line, beam)
+        assert hyps[line] == bpe_decode(dec, best.generated(dec.eos_id))
+        assert scores[line] == f"{best.score:.6f}\t{best.logprob:.6f}"
+
+
+def test_quickstart_evaluate_writes_bleu(quickstart):
+    line = (quickstart["w"] / "bleu" / "bleu.txt").read_text(encoding="utf-8")
+    assert line.startswith("BLEU = ") and "hyp_len = " in line
+
+
+def test_quickstart_attention_dump_grid(quickstart):
+    columns, rows, grid = read_attention_dump(quickstart["w"] / "attn" / "attention.tsv")
+    best, src_ids, dec = _library_beam(quickstart, 0, DEFAULTS["beam.size"])
+    assert grid.shape == (len(best.ids) - 1, len(src_ids)) == (len(rows), len(columns))
+    assert rows == [dec.piece(i) for i in best.ids[1:]]
+    np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-4)
+
+
+@pytest.mark.parametrize("command", ["generate", "attention-dump"])
+def test_max_len_beyond_positions_exits_2_before_decoding(quickstart, command, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("decoded a line with an unreachable max_len")
+
+    monkeypatch.setattr(cli, "beam_search", no_search)
+    out = quickstart["w"] / f"too-long-{command}"
+    argv = [command, "--model", quickstart["model"], "--input", quickstart["test_lin"],
+            "--enc-bpe", quickstart["enc_bpe"], "--dec-bpe", quickstart["dec_bpe"],
+            "--max-len", "41", "--out-dir", str(out)]
+    assert run(*argv) == 2
+    assert not out.exists()

@@ -14,8 +14,18 @@ from amr2text.generation import (
     greedy,
     length_penalty,
     read_attention_dump,
+    top_candidates,
 )
-from amr2text.model import EncoderInput, ModelConfig, build, decode_step
+from amr2text.model import (
+    DecoderState,
+    EncoderInput,
+    ModelConfig,
+    PrefixTooLong,
+    build,
+    decode_step,
+)
+from amr2text.model import encode as model_encode
+from amr2text.tensor import no_grad
 
 
 def tiny_model(enc_vocab=9, dec_vocab=7, seed=0, max_positions=16):
@@ -44,6 +54,34 @@ def one_input(ids):
 
 
 BOS, EOS = 1, 2
+
+
+def stepwise_logprobs(params, enc):
+    """Next-token log distribution of a prefix, fed one id at a time."""
+    with no_grad():
+        memory, mask = model_encode(params, enc)
+
+    def step(prefix):
+        state = DecoderState(params, memory, mask, BOS)
+        for token in prefix:
+            last = decode_step(params, state, [token])[0]
+        shifted = last - last.max()
+        return shifted - np.log(np.exp(shifted).sum())
+
+    return step
+
+
+def reference_top_candidates(totals, prefixes, k):
+    """The ranking loop beam search used before it was vectorized."""
+    candidates = []
+    for row, ids in enumerate(prefixes):
+        for token in range(totals.shape[1]):
+            total = totals[row, token]
+            if total == -np.inf:
+                continue
+            candidates.append((ids + (token,), total, row))
+    candidates.sort(key=lambda c: (-c[1], c[0]))
+    return [(row, ids[-1]) for ids, _, row in candidates[:k]]
 
 
 def test_length_penalty_values():
@@ -76,25 +114,92 @@ def test_exhaustive_beam_matches_oracle_on_random_models():
             max_len=max_len, min_len=1,
         )
         best, nbest = beam_search(params, enc, cfg, BOS, EOS)
-
-        from amr2text.model import encode as model_encode
-        from amr2text.tensor import no_grad
-
-        with no_grad():
-            memory, mask = model_encode(params, enc)
-
-        def step(prefix):
-            last, _ = decode_step(params, memory, mask, prefix, BOS)
-            shifted = last - last.max()
-            return shifted - np.log(np.exp(shifted).sum())
-
         ids, logprob, score = oracles.exhaustive_best_sequence(
-            step, BOS, EOS, vocab, max_len, alpha=1.0
+            stepwise_logprobs(params, enc), BOS, EOS, vocab, max_len, alpha=1.0
         )
         assert best.ids == ids
         assert abs(best.score - score) < 1e-4
         assert nbest == sorted(nbest, key=lambda h: (-h.score, h.ids))
         assert len(nbest) == len({h.ids for h in nbest})
+
+
+def test_top_candidates_match_reference_loop():
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        b = int(rng.integers(1, 6))
+        v = int(rng.integers(1, 9))
+        k = int(rng.integers(1, 12))
+        # few distinct values, so ties at the cut-off are common
+        totals = rng.integers(-4, 1, size=(b, v)).astype(np.float32)
+        totals[rng.random((b, v)) < 0.2] = -np.inf
+        prefixes = [
+            (BOS,) + tuple(int(t) for t in rng.integers(3, 6, size=2)) for _ in range(b)
+        ]
+        if trial % 2:
+            totals = totals + rng.standard_normal((b, v)).astype(np.float32)
+        assert top_candidates(totals, prefixes, k) == reference_top_candidates(
+            totals, prefixes, k
+        )
+
+
+def test_top_candidates_break_ties_at_cutoff_by_ids():
+    totals = np.array([[-1.0, -2.0, -2.0], [-2.0, -3.0, -2.0]], dtype=np.float32)
+    # row 1's prefix sorts before row 0's, so its tied candidates come first
+    prefixes = [(BOS, 5), (BOS, 4)]
+    expected = [(0, 0), (1, 0), (1, 2)]
+    assert reference_top_candidates(totals, prefixes, 3) == expected
+    assert top_candidates(totals, prefixes, 3) == expected
+    everything_tied = np.zeros((3, 4), dtype=np.float32)
+    prefixes = [(BOS, 6), (BOS, 3), (BOS, 5)]
+    for k in (1, 4, 5, 12, 20):
+        assert top_candidates(everything_tied, prefixes, k) == reference_top_candidates(
+            everything_tied, prefixes, k
+        )
+    assert top_candidates(np.full((2, 3), -np.inf), [(BOS,), (BOS, 3)], 2) == []
+
+
+def test_decoding_feeds_one_position_per_live_beam(monkeypatch):
+    import amr2text.tensor as T
+
+    shapes = []
+    layernorm = T.layernorm
+
+    def recording_layernorm(x, gain, bias, eps=1e-5):
+        shapes.append(x.shape)
+        return layernorm(x, gain, bias, eps)
+
+    monkeypatch.setattr(T, "layernorm", recording_layernorm)
+    params = tiny_model(seed=6)
+    cfg = params.config
+    source = [3, 4, 5, 6]
+    beam = BeamConfig(beam_size=3, max_len=8, min_len=8)
+    beam_search(params, one_input(source), beam, BOS, EOS)
+    encoder = [s for s in shapes if s[1] == len(source)]
+    steps = [s for s in shapes if s[1] != len(source)]
+    # the encoder runs once; every decoder call sees one position per row
+    assert len(encoder) == 2 * cfg.enc_layers + 1
+    per_step = 3 * cfg.dec_layers + 1
+    assert len(steps) == beam.max_len * per_step
+    assert all(s[1] == 1 and 1 <= s[0] <= beam.beam_size for s in steps)
+
+
+def test_max_len_beyond_positions_rejected_before_encoding(monkeypatch):
+    import amr2text.generation as generation
+
+    def no_encoding(*args, **kwargs):
+        raise AssertionError("encoded an input whose budget cannot fit")
+
+    monkeypatch.setattr(generation, "encode", no_encoding)
+    params = tiny_model(max_positions=8)
+    enc = one_input([3, 4])
+    with pytest.raises(PrefixTooLong):
+        beam_search(params, enc, BeamConfig(beam_size=2, max_len=9), BOS, EOS)
+    with pytest.raises(PrefixTooLong):
+        greedy(params, enc, max_len=9, bos_id=BOS, eos_id=EOS)
+    monkeypatch.undo()
+    best, _ = beam_search(params, enc, BeamConfig(beam_size=2, max_len=8, min_len=8), BOS, EOS)
+    assert len(best.ids) == 9
+    assert len(greedy(params, enc, max_len=8, bos_id=BOS, eos_id=EOS).ids) <= 9
 
 
 def test_beam_score_at_least_greedy_raw_logprob():

@@ -5,6 +5,7 @@ import pytest
 
 from amr2text import tensor as T
 from amr2text.model import (
+    DecoderState,
     EmptyInput,
     EncoderInput,
     IdOutOfRange,
@@ -157,17 +158,35 @@ def test_output_tied_to_decoder_embedding(params):
 
 
 def test_decode_step_matches_forward(params):
-    memory, mask = encode(params, enc_in([[1, 2, 3]]))
-    prefix = [1, 5, 8]
-    last, _ = decode_step(params, memory, mask, prefix, bos_id=1)
-    full, _ = decoder_forward(params, memory, mask, np.array([prefix]))
-    np.testing.assert_allclose(last, full.data[0, -1], atol=1e-6)
+    """The cached step equals a full-prefix pass at every position, with
+    and without memory, on a beam of 5 whose rows are reordered between
+    steps."""
+    with_memory = encode(params, enc_in([[1, 2, 3, 4]]))
+    for memory, mask in (with_memory, (None, None)):
+        rng = np.random.default_rng(11)
+        state = DecoderState(params, memory, mask, bos_id=1)
+        prefixes = np.ones((1, 1), dtype=np.int64)
+        for t in range(TINY.max_positions):
+            step_logits = decode_step(params, state, prefixes[:, -1])
+            with T.no_grad():
+                full, _ = decoder_forward(params, memory, mask, prefixes)
+            assert step_logits.shape == (prefixes.shape[0], TINY.dec_vocab)
+            np.testing.assert_allclose(step_logits, full.data[:, t], rtol=0, atol=1e-5)
+            rows = rng.integers(0, prefixes.shape[0], size=5)
+            state.reorder(rows)
+            tokens = rng.integers(3, TINY.dec_vocab, size=(5, 1))
+            prefixes = np.concatenate([prefixes[rows], tokens], axis=1)
+        with pytest.raises(PrefixTooLong):
+            decode_step(params, state, prefixes[:, -1])
 
 
 def test_decode_step_requires_bos(params):
     memory, mask = encode(params, enc_in([[1]]))
     with pytest.raises(ValueError):
-        decode_step(params, memory, mask, [5, 8], bos_id=1)
+        decode_step(params, DecoderState(params, memory, mask, bos_id=1), [5])
+    state = DecoderState(params, memory, mask, bos_id=1)
+    decode_step(params, state, [1])
+    assert decode_step(params, state, [5]).shape == (1, TINY.dec_vocab)
 
 
 def test_id_range_and_length_errors(params):
