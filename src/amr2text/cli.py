@@ -304,15 +304,6 @@ def _encoder_input(lin: LinearizedAmr, enc_model) -> tuple[EncoderInput, list[in
     return enc_in, list(ids)
 
 
-def _write_train_log(path, log) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for entry in log:
-            step, lr, loss = entry[0], entry[1], entry[2]
-            valid = entry[3] if len(entry) > 3 else None
-            tail = "" if valid is None else f"{valid:.6f}"
-            f.write(f"{step}\t{lr:.8g}\t{loss:.6f}\t{tail}\n")
-
-
 # --- subcommands -----------------------------------------------------------
 
 
@@ -433,11 +424,10 @@ def cmd_pretrain_encoder(args, cfg, provided) -> int:
     )
     _, result = pretrain_encoder(
         params, corpus, enc_model, _noise_spec(cfg, args.seed), tcfg,
-        rounds=cfg["noise.rounds"],
+        rounds=cfg["noise.rounds"], log_path=os.path.join(args.out_dir, "pretrain.log"),
     )
     ckpt = os.path.join(args.out_dir, "encoder.ckpt")
     save_checkpoint(result.best_params, ckpt)
-    _write_train_log(os.path.join(args.out_dir, "pretrain.log"), result.log)
     _write_lines(
         os.path.join(args.out_dir, "report.txt"),
         [f"best_step={result.best_step}", f"best_valid_loss={result.best_valid_loss:.6f}"],
@@ -463,10 +453,11 @@ def cmd_pretrain_decoder(args, cfg, provided) -> int:
         cfg,
         {"text": ",".join(sorted(corpora)), "seed": args.seed},
     )
-    params, perplexities, log = pretrain_decoder(params, corpora, dec_model, tcfg)
+    params, perplexities, _ = pretrain_decoder(
+        params, corpora, dec_model, tcfg, log_path=os.path.join(args.out_dir, "pretrain.log")
+    )
     ckpt = os.path.join(args.out_dir, "decoder.ckpt")
     save_checkpoint(params, ckpt)
-    _write_train_log(os.path.join(args.out_dir, "pretrain.log"), log)
     report = [f"perplexity.{lang}={perplexities[lang]:.4f}" for lang in sorted(perplexities)]
     _write_lines(os.path.join(args.out_dir, "report.txt"), report)
     print("; ".join(report) + f" -> {ckpt}")

@@ -429,9 +429,3 @@ def iter_penman_blocks(text: str) -> Iterator[str]:
             in_quote = False
     if any(l.strip() for l in block):
         yield "\n".join(block)
-
-
-def load_penman_file(path) -> list[AmrGraph]:
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    return [parse_penman(block) for block in iter_penman_blocks(text)]

@@ -103,26 +103,6 @@ def desk_config(enc_vocab: int, dec_vocab: int, **overrides) -> ModelConfig:
     return replace(ModelConfig(enc_vocab=enc_vocab, dec_vocab=dec_vocab), **overrides)
 
 
-def paper_scale_config(enc_vocab: int, dec_vocab: int) -> ModelConfig:
-    """The reference large configuration; preserved as a named preset only."""
-    return ModelConfig(
-        enc_vocab=enc_vocab,
-        dec_vocab=dec_vocab,
-        d_model=1024,
-        n_heads=16,
-        ffn_dim=4096,
-        enc_layers=6,
-        dec_layers=6,
-        dropout=0.1,
-        layerdrop=0.1,
-        max_positions=1024,
-        d_word=1024,
-        d_pos=256,
-        d_depth=64,
-        d_subgraph=64,
-    )
-
-
 @dataclass
 class ModelParams:
     """Named parameter tensors for one model instance."""

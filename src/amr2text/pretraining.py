@@ -9,7 +9,7 @@ given (seed, example index).  Encoder pretraining reconstructs the
 original sequence from its noised form through a temporary reconstruction
 decoder over the encoder vocabulary; only the encoder weights are kept.
 Decoder pretraining is a language-token-conditioned causal LM with no
-encoder attached.
+encoder attached.  Both run on ``training``'s update loop.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .linearize import LinearizedAmr
 from .model import EncoderInput, ModelParams, build, decoder_forward
 from .model import encode as encode_model
 from .tensor import Rng, label_smoothed_nll, no_grad
-from .training import Adam, TrainConfig, TrainResult, lr_at
+from .training import TrainConfig, TrainResult, run_updates
 from . import training
 
 logger = logging.getLogger(__name__)
@@ -294,13 +294,17 @@ def pretrain_encoder(
     cfg: TrainConfig,
     rounds: int = 1,
     on_checkpoint=None,
+    log_path=None,
 ) -> tuple[ModelParams, TrainResult]:
     """Train the encoder by seq2seq denoising through a temporary decoder.
 
     The temporary model shares the encoder tensors of ``params``, so the
     given model's encoder is pretrained in place; its own decoder never
-    changes.  Returns (temporary model, training result) so the caller can
-    checkpoint either.
+    changes.  The noised training examples are also the validation set:
+    the reconstruction loss reported at each checkpoint, and the best
+    checkpoint chosen by it, are measured on the examples trained on, not
+    on held-out graphs.  Returns (temporary model, training result) so the
+    caller can checkpoint either.
     """
     spec.validate()
     temp_cfg = replace(params.config, dec_vocab=params.config.enc_vocab)
@@ -316,6 +320,7 @@ def pretrain_encoder(
         cfg,
         pad_id=enc_model.pad_id,
         on_checkpoint=on_checkpoint,
+        log_path=log_path,
     )
     return temp, result
 
@@ -381,44 +386,35 @@ def pretrain_decoder(
     corpora: dict[str, list[str]],
     dec_model: BpeModel,
     cfg: TrainConfig,
+    log_path=None,
 ) -> tuple[ModelParams, dict[str, float], list[tuple[int, float, float]]]:
     """Causal LM pretraining over language-token-prefixed monolingual text.
 
-    Trains the decoder tensors of ``params`` in place (cross-attention is
-    never exercised and keeps its initialization).  Returns the model,
-    per-language perplexities, and a (step, lr, loss) log.
+    Trains the decoder tensors of ``params`` in place on the training loop,
+    with ``cfg``'s dropout and layerdrop and no validation (cross-attention
+    is never exercised and keeps its initialization).  Returns the model,
+    per-language perplexities, and a (step, lr, loss) log, which is also
+    written to ``log_path`` if given.
     """
-    cfg.validate()
     tagged = lm_sequences(corpora, dec_model)
     sequences = [ids for _, ids in tagged]
-    rng = Rng(cfg.seed)
-    opt = Adam(params.parameters(), cfg)
-    log: list[tuple[int, float, float]] = []
-    epoch = 0
-    epoch_start = 0
-    packed = pack_sequences(sequences, cfg.max_tokens_per_batch, cfg.seed, dec_model.pad_id)
-    for step in range(1, cfg.max_updates + 1):
-        if step - 1 - epoch_start >= len(packed):
-            epoch_start += len(packed)
-            epoch += 1
-            packed = pack_sequences(
-                sequences, cfg.max_tokens_per_batch, cfg.seed + epoch, dec_model.pad_id
-            )
-        arr, _ = packed[step - 1 - epoch_start]
-        for p in params.parameters():
-            p.zero_grad()
-        logits, _ = decoder_forward(
-            params, None, None, arr[:, :-1], training=True, rng=rng, step=step
-        )
-        loss = label_smoothed_nll(logits, arr[:, 1:], cfg.label_smoothing, dec_model.pad_id)
-        value = loss.item()
-        loss.backward()
-        lr = lr_at(step, cfg)
-        opt.step(lr)
-        log.append((step, lr, value))
+    pad_id = dec_model.pad_id
+
+    def lm_loss(p, packed, rng, step):
+        arr, _ = packed
+        logits, _ = decoder_forward(p, None, None, arr[:, :-1], training=True, rng=rng, step=step)
+        return label_smoothed_nll(logits, arr[:, 1:], cfg.label_smoothing, pad_id)
+
+    result = run_updates(
+        params,
+        cfg,
+        lambda seed: pack_sequences(sequences, cfg.max_tokens_per_batch, seed, pad_id),
+        lm_loss,
+        log_path=log_path,
+    )
     perplexities = {}
     for lang in corpora:
         seqs = [ids for tag, ids in tagged if tag == lang]
-        perplexities[lang] = lm_perplexity(params, seqs, dec_model.pad_id)
+        perplexities[lang] = lm_perplexity(params, seqs, pad_id)
         logger.info("pretrain-decoder %s perplexity %.3f", lang, perplexities[lang])
-    return params, perplexities, log
+    return params, perplexities, [row[:3] for row in result.log]

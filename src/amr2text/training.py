@@ -1,10 +1,10 @@
-"""Fine-tuning loop: inverse-sqrt schedule, Adam, checkpoint selection.
+"""One update loop for every training phase, and fine-tuning on it.
 
 Training is update-count based.  Batches for epoch e are rebuilt
-deterministically from (shuffle_seed, e), and the batch used at update
-step k is a pure function of k, so a run resumed from a saved trainer
-state reproduces the uninterrupted run exactly.  The best checkpoint is
-the one with minimum validation loss, ties broken by the earlier step.
+deterministically from (seed + e), and the batch used at update step k
+is a pure function of k, so a run resumed from a saved trainer state
+reproduces the uninterrupted run exactly.  The best checkpoint is the
+one with minimum validation loss, ties broken by the earlier step.
 """
 
 from __future__ import annotations
@@ -208,6 +208,97 @@ def _snapshot(params: ModelParams) -> ModelParams:
     return copy
 
 
+def run_updates(
+    params: ModelParams,
+    cfg: TrainConfig,
+    epoch_batches,
+    loss_fn,
+    validate=None,
+    on_checkpoint=None,
+    log_path=None,
+    start_step: int = 0,
+    optimizer: Adam | None = None,
+) -> TrainResult:
+    """The update loop every training phase runs on.
+
+    ``epoch_batches(seed)`` returns one epoch's batches; epoch e uses
+    ``cfg.seed + e``.  ``loss_fn(params, batch, rng, step)`` returns the
+    training loss.  ``validate(params)``, if given, returns the validation
+    loss at every checkpoint and picks the best snapshot; without it no
+    snapshot is taken and the final parameters stand as the best.  Each
+    log line is written to ``log_path``: a fresh run (``start_step`` 0)
+    truncates it, a resumed run appends.
+    """
+    cfg.validate()
+    params = replace_config_rates(params, cfg)
+    rng = Rng(cfg.seed)
+    opt = optimizer or Adam(params.parameters(), cfg)
+    log: list[tuple[int, float, float, float | None]] = []
+    best: tuple[float, int, ModelParams] | None = None
+    # Batch counts can differ between epochs (reshuffled packing), so the
+    # step -> batch mapping walks epochs from zero; resuming replays the walk.
+    epoch = 0
+    epoch_start = 0
+    batches = epoch_batches(cfg.seed)
+    lines = open(log_path, "a" if start_step else "w", encoding="utf-8") if log_path else None
+    try:
+        for step in range(1, cfg.max_updates + 1):
+            if step - 1 - epoch_start >= len(batches):
+                epoch_start += len(batches)
+                epoch += 1
+                batches = epoch_batches(cfg.seed + epoch)
+            if step <= start_step:
+                continue
+            batch = batches[step - 1 - epoch_start]
+            for p in params.parameters():
+                p.zero_grad()
+            loss = loss_fn(params, batch, rng, step)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise DivergedLoss(
+                    f"non-finite training loss at step {step}",
+                    last_good=best[2] if best else None,
+                )
+            loss.backward()
+            lr = lr_at(step, cfg)
+            opt.step(lr)
+            valid_loss: float | None = None
+            stop = False
+            if validate is not None and (
+                step % cfg.checkpoint_every == 0 or step == cfg.max_updates
+            ):
+                valid_loss = validate(params)
+                if not np.isfinite(valid_loss):
+                    raise DivergedLoss(
+                        f"non-finite validation loss at step {step}",
+                        last_good=best[2] if best else None,
+                    )
+                if best is None or valid_loss < best[0]:
+                    best = (valid_loss, step, _snapshot(params))
+                stop = on_checkpoint is not None and on_checkpoint(step, params, valid_loss)
+            log.append((step, lr, value, valid_loss))
+            if lines:
+                v = "" if valid_loss is None else f"{valid_loss:.6f}"
+                lines.write(f"{step}\t{lr:.8g}\t{value:.6f}\t{v}\n")
+            if stop:
+                break
+    finally:
+        if lines:
+            lines.close()
+    last_step = log[-1][0] if log else start_step
+    if validate is None:
+        best = (float("nan"), last_step, params)
+    elif best is None:
+        best = (validate(params), last_step, _snapshot(params))
+    return TrainResult(
+        best_params=best[2],
+        best_valid_loss=best[0],
+        best_step=best[1],
+        final_params=params,
+        log=log,
+    )
+
+
 def train(
     params: ModelParams,
     train_set: list[ParallelExample],
@@ -225,79 +316,19 @@ def train(
     early.  Pass ``start_step`` and ``optimizer`` to resume a run; the
     subsequent loss trajectory matches the uninterrupted run.
     """
-    cfg.validate()
-    params = replace_config_rates(params, cfg)
-    rng = Rng(cfg.seed)
-    opt = optimizer or Adam(params.parameters(), cfg)
     valid_batches = make_batches(valid_set, cfg.max_tokens_per_batch, cfg.seed, pad_id)
-    log: list[tuple[int, float, float, float | None]] = []
-    best: tuple[float, int, ModelParams] | None = None
-    # Batch counts can differ between epochs (reshuffled packing), so the
-    # step -> batch mapping walks epochs from zero; resuming replays the walk.
-    epoch = 0
-    epoch_start = 0
-    epoch_batches = make_batches(train_set, cfg.max_tokens_per_batch, cfg.seed, pad_id)
-    while start_step - epoch_start >= len(epoch_batches):
-        epoch_start += len(epoch_batches)
-        epoch += 1
-        epoch_batches = make_batches(
-            train_set, cfg.max_tokens_per_batch, cfg.seed + epoch, pad_id
-        )
-    lines = open(log_path, "a", encoding="utf-8") if log_path else None
-    try:
-        for step in range(start_step + 1, cfg.max_updates + 1):
-            if step - 1 - epoch_start >= len(epoch_batches):
-                epoch_start += len(epoch_batches)
-                epoch += 1
-                epoch_batches = make_batches(
-                    train_set, cfg.max_tokens_per_batch, cfg.seed + epoch, pad_id
-                )
-            batch = epoch_batches[step - 1 - epoch_start]
-            for p in params.parameters():
-                p.zero_grad()
-            loss = batch_loss(
-                params, batch, pad_id, cfg.label_smoothing, training=True, rng=rng, step=step
-            )
-            value = loss.item()
-            if not np.isfinite(value):
-                raise DivergedLoss(
-                    f"non-finite training loss at step {step}",
-                    last_good=best[2] if best else None,
-                )
-            loss.backward()
-            lr = lr_at(step, cfg)
-            opt.step(lr)
-            valid_loss: float | None = None
-            if step % cfg.checkpoint_every == 0 or step == cfg.max_updates:
-                valid_loss = dataset_loss(params, valid_batches, pad_id)
-                if not np.isfinite(valid_loss):
-                    raise DivergedLoss(
-                        f"non-finite validation loss at step {step}",
-                        last_good=best[2] if best else None,
-                    )
-                if best is None or valid_loss < best[0]:
-                    best = (valid_loss, step, _snapshot(params))
-                if on_checkpoint is not None and on_checkpoint(step, params, valid_loss):
-                    log.append((step, lr, value, valid_loss))
-                    if lines:
-                        lines.write(f"{step}\t{lr:.8g}\t{value:.6f}\t{valid_loss:.6f}\n")
-                    break
-            log.append((step, lr, value, valid_loss))
-            if lines:
-                v = "" if valid_loss is None else f"{valid_loss:.6f}"
-                lines.write(f"{step}\t{lr:.8g}\t{value:.6f}\t{v}\n")
-    finally:
-        if lines:
-            lines.close()
-    if best is None:
-        valid_loss = dataset_loss(params, valid_batches, pad_id)
-        best = (valid_loss, log[-1][0] if log else start_step, _snapshot(params))
-    return TrainResult(
-        best_params=best[2],
-        best_valid_loss=best[0],
-        best_step=best[1],
-        final_params=params,
-        log=log,
+    return run_updates(
+        params,
+        cfg,
+        lambda seed: make_batches(train_set, cfg.max_tokens_per_batch, seed, pad_id),
+        lambda p, batch, rng, step: batch_loss(
+            p, batch, pad_id, cfg.label_smoothing, training=True, rng=rng, step=step
+        ),
+        validate=lambda p: dataset_loss(p, valid_batches, pad_id),
+        on_checkpoint=on_checkpoint,
+        log_path=log_path,
+        start_step=start_step,
+        optimizer=optimizer,
     )
 
 
@@ -357,35 +388,3 @@ def initialize_for_finetune(
     if not report:
         report.append("fresh: no pretrained weights loaded")
     return params, report
-
-
-def write_run_config(path, cfg: TrainConfig) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for name in cfg.__dataclass_fields__:
-            value = getattr(cfg, name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            f.write(f"train.{name}={value}\n")
-
-
-def read_run_config(path) -> TrainConfig:
-    kwargs: dict = {}
-    with open(path, encoding="utf-8") as f:
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            if not key.startswith("train."):
-                continue
-            name = key[len("train.") :]
-            if name not in TrainConfig.__dataclass_fields__:
-                raise ValueError(f"unknown config key {key!r}")
-            if name == "adam_betas":
-                kwargs[name] = tuple(float(v) for v in value.split(","))
-            elif name in ("warmup_steps", "max_updates", "seed", "checkpoint_every",
-                          "max_tokens_per_batch"):
-                kwargs[name] = int(value)
-            else:
-                kwargs[name] = float(value)
-    return TrainConfig(**kwargs)

@@ -381,3 +381,24 @@ def test_max_len_beyond_positions_exits_2_before_decoding(quickstart, command, m
             "--max-len", "41", "--out-dir", str(out)]
     assert run(*argv) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain-encoder", "pretrain-decoder"])
+def test_pretraining_log_streams_and_rerun_overwrites(quickstart, command):
+    w = quickstart["w"]
+    if command == "pretrain-encoder":
+        inputs = ["--amr", f"{TOY}/train.amr", "--bpe", quickstart["enc_bpe"], "--rounds", "1"]
+    else:
+        inputs = ["--text", f"en={TOY}/train.en.txt", "--bpe", quickstart["dec_bpe"]]
+    argv = [command, *inputs, "--seed", "1", "--config", str(w / "train.cfg"),
+            "--out-dir", str(w / command)]
+    log_path = w / command / "pretrain.log"
+    assert run(*argv) == 0
+    log = log_path.read_text(encoding="utf-8")
+    assert run(*argv) == 0
+    assert log_path.read_text(encoding="utf-8") == log
+    rows = [line.split("\t") for line in log.splitlines()]
+    assert [row[0] for row in rows] == ["1", "2", "3", "4"]
+    # Only encoder pretraining validates, at every checkpoint_every (2) updates.
+    validated = [row[0] for row in rows if row[3]]
+    assert validated == (["2", "4"] if command == "pretrain-encoder" else [])

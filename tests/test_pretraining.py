@@ -1,5 +1,7 @@
 """Noise model and pretraining loop tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from amr2text.pretraining import (
     token_accuracy,
 )
 from amr2text.tensor import no_grad
-from amr2text.training import TrainConfig
+from amr2text.training import DivergedLoss, TrainConfig
 
 AMR = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b) :time (t / today))"
 TOKENS = tuple(linearize_for_language(parse_penman(AMR), "en").tokens)
@@ -221,24 +223,51 @@ def test_lm_sequences_layout():
         lm_sequences({"en": []}, dec)
 
 
-def test_pretrain_decoder_trains_lm():
-    dec = train_bpe(
+LM_CORPORA = {"en": ["the cat sat", "the dog ran"], "de": ["der hund lief"]}
+
+
+def _lm_bpe():
+    return train_bpe(
         ["the cat sat", "der hund lief", "the dog ran"],
         30,
         languages=frozenset({"en", "de"}),
     )
+
+
+def test_pretrain_decoder_trains_lm():
+    dec = _lm_bpe()
     params = build(tiny_cfg(17, dec.vocab_size), seed=0)
     enc_before = {n: t.data.copy() for n, t in params.named() if n.startswith("enc")}
     cfg = TrainConfig(max_updates=4, warmup_steps=1, checkpoint_every=1000,
                       dropout=0.0, layerdrop=0.0, seed=2)
-    corpora = {"en": ["the cat sat", "the dog ran"], "de": ["der hund lief"]}
-    model, perplexities, log = pretrain_decoder(params, corpora, dec, cfg)
+    model, perplexities, log = pretrain_decoder(params, LM_CORPORA, dec, cfg)
     assert model is params
     assert set(perplexities) == {"en", "de"}
     assert all(p > 0 and np.isfinite(p) for p in perplexities.values())
     assert len(log) == 4
     for name, before in enc_before.items():
         np.testing.assert_array_equal(params[name].data, before)
+
+
+def test_pretrain_decoder_honours_train_rates():
+    dec = _lm_bpe()
+    cfg = TrainConfig(max_updates=4, warmup_steps=1, dropout=0.0, layerdrop=0.0, seed=2)
+    built_without = build(tiny_cfg(17, dec.vocab_size), seed=0)
+    built_with = build(replace(tiny_cfg(17, dec.vocab_size), dropout=0.1), seed=0)
+    _, _, want = pretrain_decoder(built_without, LM_CORPORA, dec, cfg)
+    _, _, got = pretrain_decoder(built_with, LM_CORPORA, dec, cfg)
+    assert got == want
+    assert built_with.config.dropout == 0.1  # the caller's model keeps its config
+
+
+def test_pretrain_decoder_raises_diverged_loss():
+    dec = _lm_bpe()
+    params = build(tiny_cfg(17, dec.vocab_size), seed=0)
+    params["dec_word_emb"].data[...] = np.nan
+    cfg = TrainConfig(max_updates=4, warmup_steps=1, dropout=0.0, layerdrop=0.0, seed=2)
+    with pytest.raises(DivergedLoss) as info:
+        pretrain_decoder(params, LM_CORPORA, dec, cfg)
+    assert info.value.last_good is None
 
 
 def test_lm_perplexity_matches_manual_nll():

@@ -20,11 +20,9 @@ from amr2text.training import (
     load_trainer_state,
     lr_at,
     pretrained_preset,
-    read_run_config,
     replace_config_rates,
     save_trainer_state,
     train,
-    write_run_config,
 )
 
 
@@ -252,6 +250,35 @@ def test_train_log_file(tmp_path):
     assert fields[0] == "3" and fields[3]  # validated step has a 4th column
 
 
+def test_fresh_run_overwrites_log_and_resume_appends(tmp_path):
+    data = toy_examples(4)
+    cfg = TrainConfig(
+        base_lr=0.005, warmup_steps=2, max_updates=6, dropout=0.0, layerdrop=0.0,
+        seed=1, checkpoint_every=3, max_tokens_per_batch=128,
+    )
+    log_path = tmp_path / "train.log"
+    train(build(tiny_cfg(), seed=0), data, data, cfg, pad_id=0, log_path=log_path)
+    first = log_path.read_text(encoding="utf-8")
+    train(build(tiny_cfg(), seed=0), data, data, cfg, pad_id=0, log_path=log_path)
+    assert log_path.read_text(encoding="utf-8") == first
+    assert len(first.splitlines()) == 6
+
+    params = build(tiny_cfg(), seed=0)
+    opt = Adam(params.parameters(), cfg)
+    head = train(
+        params, data, data, TrainConfig(**{**cfg.__dict__, "max_updates": 4}),
+        pad_id=0, log_path=log_path, optimizer=opt,
+    )
+    train(
+        head.final_params, data, data, cfg, pad_id=0, log_path=log_path,
+        start_step=4, optimizer=opt,
+    )
+    lines = log_path.read_text(encoding="utf-8").splitlines()
+    assert [line.split("\t")[:3] for line in lines] == [
+        line.split("\t")[:3] for line in first.splitlines()
+    ]
+
+
 def test_dataset_loss_eval_mode_and_batch_loss_agree():
     params = build(tiny_cfg(), seed=0)
     data = toy_examples(4)
@@ -291,13 +318,3 @@ def test_initialize_for_finetune_sources(tmp_path):
     with pytest.raises(ConfigMismatch):
         initialize_for_finetune(other, enc_path)
 
-
-def test_run_config_round_trip(tmp_path):
-    cfg = TrainConfig(base_lr=0.002, warmup_steps=50, max_updates=600,
-                      label_smoothing=0.0, seed=42)
-    path = tmp_path / "run.cfg"
-    write_run_config(path, cfg)
-    assert read_run_config(path) == cfg
-    path.write_text("train.nonsense=1\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        read_run_config(path)
