@@ -1,8 +1,11 @@
 """Command-line entry point exposing the pipeline as subcommands.
 
-Settings resolve in three layers: an optional key=value config file
-(--config), then repeatable --set key=value overrides, then dedicated
-flags.  Unknown keys are rejected.  Subcommands that write files place
+Settings resolve in three layers over DEFAULTS: an optional key=value
+config file (--config), then repeatable --set key=value overrides, then
+dedicated flags, each of which sets one key (--beam sets beam.size).  The
+keys are the fields of TrainConfig, ModelConfig, BeamConfig and NoiseSpec
+plus a few no dataclass holds.  Unknown keys and values outside a key's
+choices are rejected before any work.  Subcommands that write files place
 everything under --out-dir together with the effective configuration
 (run.config.txt).  Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -44,7 +47,6 @@ from .model import (
     EncoderInput,
     ModelConfig,
     build,
-    desk_config,
     load_checkpoint,
     save_checkpoint,
 )
@@ -71,66 +73,49 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _defaults() -> dict:
-    out: dict = {}
-    tc = TrainConfig()
-    for name in (
-        "base_lr",
-        "warmup_steps",
-        "max_updates",
-        "label_smoothing",
-        "dropout",
-        "layerdrop",
-        "checkpoint_every",
-        "max_tokens_per_batch",
-        "weight_decay",
-    ):
-        out[f"train.{name}"] = getattr(tc, name)
-    out["train.preset"] = "fresh"
-    mc = ModelConfig(enc_vocab=1, dec_vocab=1)
-    for name in (
-        "d_model",
-        "n_heads",
-        "ffn_dim",
-        "enc_layers",
-        "dec_layers",
-        "max_positions",
-        "depth_buckets",
-        "subgraph_buckets",
-        "d_word",
-        "d_pos",
-        "d_depth",
-        "d_subgraph",
-    ):
-        out[f"model.{name}"] = getattr(mc, name)
-    bc = BeamConfig()
-    out["beam.size"] = bc.beam_size
-    out["beam.alpha"] = bc.length_penalty_alpha
-    out["beam.max_len"] = bc.max_len
-    out["beam.min_len"] = bc.min_len
-    ns = NoiseSpec()
-    out["noise.mask_prob"] = ns.mask_prob
-    out["noise.span_lambda"] = ns.span_lambda
-    out["noise.span_mass"] = ns.span_mass
-    out["noise.shuffle"] = ns.shuffle
-    out["noise.rounds"] = 4
-    out["bpe.merges"] = 1000
-    out["bpe.protect_roles"] = False
-    out["corpus.split_mode"] = "common-test"
-    out["corpus.derive_n"] = 1000
-    out["eval.tokenize"] = True
-    out["overlap.token_level"] = False
-    out["sheet.n_high"] = 25
-    out["sheet.n_low"] = 25
-    out["sheet.min_words"] = 5
-    return out
+# Config keys are "<section>.<field>" for each field of these dataclasses,
+# except the fields the CLI sets itself: seeds, vocabulary sizes, Adam's
+# constants, and the model's rates, which training takes from train.*.
+SECTIONS = {"train": TrainConfig, "model": ModelConfig, "beam": BeamConfig, "noise": NoiseSpec}
+_CLI_SET = {
+    "train.seed", "train.adam_betas", "train.adam_eps", "noise.seed",
+    "model.enc_vocab", "model.dec_vocab", "model.dropout", "model.layerdrop",
+}
+_ALIASES = {"beam.beam_size": "beam.size", "beam.length_penalty_alpha": "beam.alpha"}
+CHOICES = {"train.preset": ("fresh", "pretrained"), "corpus.split_mode": ("common-test", "derive")}
 
 
-DEFAULTS = _defaults()
+def _keyed_fields(section: str):
+    """(field, config key) for each field of the section's dataclass that is a key."""
+    for f in fields(SECTIONS[section]):
+        name = f"{section}.{f.name}"
+        if name not in _CLI_SET:
+            yield f, _ALIASES.get(name, name)
+
+
+DEFAULTS = {key: f.default for section in SECTIONS for f, key in _keyed_fields(section)}
+DEFAULTS.update({
+    "train.preset": "fresh",
+    "noise.rounds": 4,
+    "bpe.merges": 1000,
+    "bpe.protect_roles": False,
+    "corpus.split_mode": "common-test",
+    "corpus.derive_n": 1000,
+    "eval.tokenize": True,
+    "overlap.token_level": False,
+    "sheet.n_high": 25,
+    "sheet.n_low": 25,
+    "sheet.min_words": 5,
+})
 KNOWN_KEYS = {
     key: (_bool if isinstance(value, bool) else type(value))
     for key, value in DEFAULTS.items()
 }
+
+
+def _section(cfg: dict, section: str, **fixed):
+    """The section's dataclass from its config keys plus the fields the CLI sets."""
+    return SECTIONS[section](**{f.name: cfg[key] for f, key in _keyed_fields(section)}, **fixed)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -151,7 +136,7 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def resolve_config(args) -> tuple[dict, set[str]]:
-    """Merge defaults <- config file <- --set items; track provided keys."""
+    """Merge defaults <- config file <- --set items <- flags; track provided keys."""
     raw: dict[str, str] = {}
     if getattr(args, "config", None):
         raw.update(_load_config_file(args.config))
@@ -168,13 +153,18 @@ def resolve_config(args) -> tuple[dict, set[str]]:
             cfg[key] = KNOWN_KEYS[key](value)
         except ValueError:
             raise UsageError(f"bad value for {key}: {value!r}")
-    return cfg, set(raw)
-
-
-def _apply(cfg: dict, provided: set[str], key: str, value) -> None:
-    if value is not None:
-        cfg[key] = value
-        provided.add(key)
+    provided = set(raw)
+    # dedicated flags store under their config key; None means not given
+    for key, value in vars(args).items():
+        if key in KNOWN_KEYS and value is not None:
+            cfg[key] = value
+            provided.add(key)
+    for key, choices in CHOICES.items():
+        if cfg[key] not in choices:
+            raise UsageError(
+                f"bad value for {key}: {cfg[key]!r} (choose from {', '.join(choices)})"
+            )
+    return cfg, provided
 
 
 def _echo_config(out_dir, subcommand: str, cfg: dict, facts: dict) -> None:
@@ -185,59 +175,6 @@ def _echo_config(out_dir, subcommand: str, cfg: dict, facts: dict) -> None:
             f.write(f"{key}={facts[key]}\n")
         for key in sorted(cfg):
             f.write(f"{key}={cfg[key]}\n")
-
-
-def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        base_lr=cfg["train.base_lr"],
-        warmup_steps=cfg["train.warmup_steps"],
-        max_updates=cfg["train.max_updates"],
-        label_smoothing=cfg["train.label_smoothing"],
-        dropout=cfg["train.dropout"],
-        layerdrop=cfg["train.layerdrop"],
-        checkpoint_every=cfg["train.checkpoint_every"],
-        max_tokens_per_batch=cfg["train.max_tokens_per_batch"],
-        weight_decay=cfg["train.weight_decay"],
-        seed=seed,
-    )
-
-
-def _model_config(cfg: dict, enc_vocab: int, dec_vocab: int) -> ModelConfig:
-    return desk_config(
-        enc_vocab,
-        dec_vocab,
-        d_model=cfg["model.d_model"],
-        n_heads=cfg["model.n_heads"],
-        ffn_dim=cfg["model.ffn_dim"],
-        enc_layers=cfg["model.enc_layers"],
-        dec_layers=cfg["model.dec_layers"],
-        max_positions=cfg["model.max_positions"],
-        depth_buckets=cfg["model.depth_buckets"],
-        subgraph_buckets=cfg["model.subgraph_buckets"],
-        d_word=cfg["model.d_word"],
-        d_pos=cfg["model.d_pos"],
-        d_depth=cfg["model.d_depth"],
-        d_subgraph=cfg["model.d_subgraph"],
-    )
-
-
-def _beam_config(cfg: dict) -> BeamConfig:
-    return BeamConfig(
-        beam_size=cfg["beam.size"],
-        length_penalty_alpha=cfg["beam.alpha"],
-        max_len=cfg["beam.max_len"],
-        min_len=cfg["beam.min_len"],
-    )
-
-
-def _noise_spec(cfg: dict, seed: int) -> NoiseSpec:
-    return NoiseSpec(
-        mask_prob=cfg["noise.mask_prob"],
-        span_lambda=cfg["noise.span_lambda"],
-        span_mass=cfg["noise.span_mass"],
-        shuffle=cfg["noise.shuffle"],
-        seed=seed,
-    )
 
 
 def _read_lines(path: str) -> list[str]:
@@ -337,8 +274,6 @@ def cmd_linearize(args, cfg, provided) -> int:
 
 
 def cmd_train_bpe(args, cfg, provided) -> int:
-    _apply(cfg, provided, "bpe.merges", args.merges)
-    _apply(cfg, provided, "bpe.protect_roles", args.protect_roles)
     lines: list[str] = []
     for path in args.input:
         lines.extend(_read_lines(path))
@@ -364,8 +299,6 @@ def cmd_train_bpe(args, cfg, provided) -> int:
 
 
 def cmd_build_corpus(args, cfg, provided) -> int:
-    _apply(cfg, provided, "corpus.split_mode", args.split_mode)
-    _apply(cfg, provided, "corpus.derive_n", args.derive_n)
     manifest = load_manifest(args.manifest, derive_n=cfg["corpus.derive_n"])
     if "corpus.derive_n" in provided:
         # explicit flag/setting outranks the manifest directive
@@ -409,21 +342,16 @@ def cmd_build_corpus(args, cfg, provided) -> int:
 
 
 def cmd_pretrain_encoder(args, cfg, provided) -> int:
-    _apply(cfg, provided, "noise.rounds", args.rounds)
-    _apply(cfg, provided, "noise.mask_prob", args.mask_prob)
-    _apply(cfg, provided, "noise.span_lambda", args.span_lambda)
-    _apply(cfg, provided, "noise.span_mass", args.span_mass)
-    _apply(cfg, provided, "noise.shuffle", args.shuffle)
-    _apply(cfg, provided, "train.max_updates", args.updates)
     enc_model = load_bpe(args.bpe)
     corpus = [linearize_for_language(g) for g in _load_graphs(args.amr)]
-    tcfg = _train_config(cfg, args.seed)
-    params = build(_model_config(cfg, enc_model.vocab_size, enc_model.vocab_size), args.seed)
+    tcfg = _section(cfg, "train", seed=args.seed)
+    mcfg = _section(cfg, "model", enc_vocab=enc_model.vocab_size, dec_vocab=enc_model.vocab_size)
+    params = build(mcfg, args.seed)
     _echo_config(
         args.out_dir, "pretrain-encoder", cfg, {"amr": args.amr, "seed": args.seed}
     )
     _, result = pretrain_encoder(
-        params, corpus, enc_model, _noise_spec(cfg, args.seed), tcfg,
+        params, corpus, enc_model, _section(cfg, "noise", seed=args.seed), tcfg,
         rounds=cfg["noise.rounds"], log_path=os.path.join(args.out_dir, "pretrain.log"),
     )
     ckpt = os.path.join(args.out_dir, "encoder.ckpt")
@@ -439,14 +367,14 @@ def cmd_pretrain_encoder(args, cfg, provided) -> int:
 
 
 def cmd_pretrain_decoder(args, cfg, provided) -> int:
-    _apply(cfg, provided, "train.max_updates", args.updates)
     dec_model = load_bpe(args.bpe)
     corpora = {
         lang: _read_lines(path)
         for lang, path in _lang_file_map(args.text, "--text").items()
     }
-    tcfg = _train_config(cfg, args.seed)
-    params = build(_model_config(cfg, dec_model.vocab_size, dec_model.vocab_size), args.seed)
+    tcfg = _section(cfg, "train", seed=args.seed)
+    mcfg = _section(cfg, "model", enc_vocab=dec_model.vocab_size, dec_vocab=dec_model.vocab_size)
+    params = build(mcfg, args.seed)
     _echo_config(
         args.out_dir,
         "pretrain-decoder",
@@ -465,8 +393,6 @@ def cmd_pretrain_decoder(args, cfg, provided) -> int:
 
 
 def cmd_train(args, cfg, provided) -> int:
-    _apply(cfg, provided, "train.max_updates", args.updates)
-    _apply(cfg, provided, "train.preset", args.preset)
     pretrained = bool(args.encoder_ckpt or args.decoder_ckpt or args.embeddings)
     if "train.preset" not in provided and pretrained:
         cfg["train.preset"] = "pretrained"
@@ -483,8 +409,9 @@ def cmd_train(args, cfg, provided) -> int:
     valid_set = load_examples(os.path.join(args.corpus, "valid.examples"))
     if not valid_set:
         raise ValueError("validation set is empty")
-    tcfg = _train_config(cfg, args.seed)
-    params = build(_model_config(cfg, enc_model.vocab_size, dec_model.vocab_size), args.seed)
+    tcfg = _section(cfg, "train", seed=args.seed)
+    mcfg = _section(cfg, "model", enc_vocab=enc_model.vocab_size, dec_vocab=dec_model.vocab_size)
+    params = build(mcfg, args.seed)
     params, init_report = initialize_for_finetune(
         params,
         encoder_ckpt=args.encoder_ckpt,
@@ -524,14 +451,10 @@ def cmd_train(args, cfg, provided) -> int:
 
 
 def cmd_generate(args, cfg, provided) -> int:
-    _apply(cfg, provided, "beam.size", args.beam)
-    _apply(cfg, provided, "beam.alpha", args.alpha)
-    _apply(cfg, provided, "beam.max_len", args.max_len)
-    _apply(cfg, provided, "beam.min_len", args.min_len)
     enc_model = load_bpe(args.enc_bpe)
     dec_model = load_bpe(args.dec_bpe)
     params = load_checkpoint(args.model)
-    bcfg = _beam_config(cfg)
+    bcfg = _section(cfg, "beam")
     check_max_len(params, bcfg.max_len)
     lins = _load_lin_inputs(args.input, args.features)
     _echo_config(
@@ -556,8 +479,6 @@ def cmd_generate(args, cfg, provided) -> int:
 
 
 def cmd_evaluate(args, cfg, provided) -> int:
-    if args.no_tokenize:
-        _apply(cfg, provided, "eval.tokenize", False)
     hyps = _read_lines(args.hyp)
     refs = _read_lines(args.ref)
     report = evaluation.bleu(hyps, refs, tokenize=cfg["eval.tokenize"])
@@ -570,8 +491,6 @@ def cmd_evaluate(args, cfg, provided) -> int:
 
 
 def cmd_overlap_stats(args, cfg, provided) -> int:
-    if args.token_level:
-        _apply(cfg, provided, "overlap.token_level", True)
     # flag shape problems are usage errors; surface them before any file IO
     target_paths = _lang_file_map(args.target, "--target")
     bleus: dict[str, float] = {}
@@ -600,9 +519,6 @@ def cmd_overlap_stats(args, cfg, provided) -> int:
 
 
 def cmd_human_eval_sheet(args, cfg, provided) -> int:
-    _apply(cfg, provided, "sheet.n_high", args.n_high)
-    _apply(cfg, provided, "sheet.n_low", args.n_low)
-    _apply(cfg, provided, "sheet.min_words", args.min_words)
     scored = evaluation.score_sentences(_read_lines(args.hyp), _read_lines(args.ref))
     rows = evaluation.human_eval_sample(
         scored,
@@ -624,13 +540,10 @@ def cmd_human_eval_sheet(args, cfg, provided) -> int:
 
 
 def cmd_attention_dump(args, cfg, provided) -> int:
-    _apply(cfg, provided, "beam.size", args.beam)
-    _apply(cfg, provided, "beam.alpha", args.alpha)
-    _apply(cfg, provided, "beam.max_len", args.max_len)
     enc_model = load_bpe(args.enc_bpe)
     dec_model = load_bpe(args.dec_bpe)
     params = load_checkpoint(args.model)
-    bcfg = _beam_config(cfg)
+    bcfg = _section(cfg, "beam")
     check_max_len(params, bcfg.max_len)
     lins = _load_lin_inputs(args.input, args.features)
     if not 0 <= args.line < len(lins):
@@ -674,6 +587,12 @@ def build_parser() -> _Parser:
         p.add_argument("--out-dir", required=out_dir_required)
         return p
 
+    def setting(p: _Parser, option: str, key: str, **kwargs) -> None:
+        # A flag for one config key, stored under the key; resolve_config applies it last.
+        if "action" not in kwargs:
+            kwargs.update(type=KNOWN_KEYS[key], choices=CHOICES.get(key))
+        p.add_argument(option, dest=key, default=None, **kwargs)
+
     p = add("parse-amr", cmd_parse_amr, "parse and canonically reserialize PENMAN graphs")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--indent", action="store_true")
@@ -686,34 +605,34 @@ def build_parser() -> _Parser:
 
     p = add("train-bpe", cmd_train_bpe, "learn a subword model from text")
     p.add_argument("--in", dest="input", action="append", required=True)
-    p.add_argument("--merges", type=int)
-    p.add_argument("--protect-roles", action="store_true", default=None)
+    setting(p, "--merges", "bpe.merges")
+    setting(p, "--protect-roles", "bpe.protect_roles", action="store_true")
     p.add_argument("--languages", help="comma-separated language codes for specials")
 
     p = add("build-corpus", cmd_build_corpus, "numericalize and split a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--enc-bpe", required=True)
     p.add_argument("--dec-bpe", required=True)
-    p.add_argument("--split-mode", choices=("common-test", "derive"))
-    p.add_argument("--derive-n", type=int)
+    setting(p, "--split-mode", "corpus.split_mode")
+    setting(p, "--derive-n", "corpus.derive_n")
     p.add_argument("--languages", help="comma-separated subset to include")
 
     p = add("pretrain-encoder", cmd_pretrain_encoder, "denoising pretraining on AMR graphs")
     p.add_argument("--amr", required=True)
     p.add_argument("--bpe", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--mask-prob", type=float)
-    p.add_argument("--span-lambda", type=float)
-    p.add_argument("--span-mass", type=float)
-    p.add_argument("--no-shuffle", dest="shuffle", action="store_false", default=None)
-    p.add_argument("--updates", type=int)
+    setting(p, "--rounds", "noise.rounds")
+    setting(p, "--mask-prob", "noise.mask_prob")
+    setting(p, "--span-lambda", "noise.span_lambda")
+    setting(p, "--span-mass", "noise.span_mass")
+    setting(p, "--no-shuffle", "noise.shuffle", action="store_false")
+    setting(p, "--updates", "train.max_updates")
 
     p = add("pretrain-decoder", cmd_pretrain_decoder, "causal LM pretraining on text")
     p.add_argument("--text", action="append", metavar="LANG=FILE", required=True)
     p.add_argument("--bpe", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--updates", type=int)
+    setting(p, "--updates", "train.max_updates")
 
     p = add("train", cmd_train, "train or fine-tune the translation model")
     p.add_argument("--corpus", required=True, help="directory from build-corpus")
@@ -723,8 +642,8 @@ def build_parser() -> _Parser:
     p.add_argument("--encoder-ckpt")
     p.add_argument("--decoder-ckpt")
     p.add_argument("--embeddings")
-    p.add_argument("--preset", choices=("fresh", "pretrained"))
-    p.add_argument("--updates", type=int)
+    setting(p, "--preset", "train.preset")
+    setting(p, "--updates", "train.max_updates")
 
     p = add("generate", cmd_generate, "beam-search decode linearized graphs")
     p.add_argument("--model", required=True)
@@ -733,30 +652,30 @@ def build_parser() -> _Parser:
     p.add_argument("--enc-bpe", required=True)
     p.add_argument("--dec-bpe", required=True)
     p.add_argument("--lang")
-    p.add_argument("--beam", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--min-len", type=int)
+    setting(p, "--beam", "beam.size")
+    setting(p, "--alpha", "beam.alpha")
+    setting(p, "--max-len", "beam.max_len")
+    setting(p, "--min-len", "beam.min_len")
 
     p = add("evaluate", cmd_evaluate, "corpus BLEU of hypotheses against references", False)
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--no-tokenize", action="store_true")
+    setting(p, "--no-tokenize", "eval.tokenize", action="store_false")
 
     p = add("overlap-stats", cmd_overlap_stats, "vocabulary overlap vs BLEU", False)
     p.add_argument("--amr", required=True)
     p.add_argument("--target", action="append", metavar="LANG=FILE", required=True)
     p.add_argument("--bpe", required=True)
     p.add_argument("--bleu", action="append", metavar="LANG=VALUE", required=True)
-    p.add_argument("--token-level", action="store_true")
+    setting(p, "--token-level", "overlap.token_level", action="store_true")
 
     p = add("human-eval-sheet", cmd_human_eval_sheet, "sample sentences for annotation")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n-high", type=int)
-    p.add_argument("--n-low", type=int)
-    p.add_argument("--min-words", type=int)
+    setting(p, "--n-high", "sheet.n_high")
+    setting(p, "--n-low", "sheet.n_low")
+    setting(p, "--min-words", "sheet.min_words")
 
     p = add("attention-dump", cmd_attention_dump, "cross-attention grid for one input")
     p.add_argument("--model", required=True)
@@ -766,9 +685,9 @@ def build_parser() -> _Parser:
     p.add_argument("--dec-bpe", required=True)
     p.add_argument("--lang")
     p.add_argument("--line", type=int, default=0)
-    p.add_argument("--beam", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--max-len", type=int)
+    setting(p, "--beam", "beam.size")
+    setting(p, "--alpha", "beam.alpha")
+    setting(p, "--max-len", "beam.max_len")
     p.add_argument("--layer", type=int, default=-1)
     p.add_argument("--head", type=int)
 

@@ -59,6 +59,17 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _match_counts(hyp_tokens: list[str], ref_tokens: list[str]) -> list[tuple[int, int]]:
+    """(clipped n-gram matches, hypothesis n-grams) for n = 1..NGRAM_ORDER."""
+    counts = []
+    for n in range(1, NGRAM_ORDER + 1):
+        hyp_grams = _ngrams(hyp_tokens, n)
+        ref_grams = _ngrams(ref_tokens, n)
+        correct = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
+        counts.append((correct, sum(hyp_grams.values())))
+    return counts
+
+
 @dataclass(frozen=True)
 class BleuReport:
     bleu: float
@@ -91,13 +102,9 @@ def bleu(hypotheses: list[str], references: list[str], tokenize: bool = True) ->
         ref_tokens = (tokenize_13a(ref) if tokenize else ref).split()
         hyp_len += len(hyp_tokens)
         ref_len += len(ref_tokens)
-        for n in range(1, NGRAM_ORDER + 1):
-            hyp_grams = _ngrams(hyp_tokens, n)
-            ref_grams = _ngrams(ref_tokens, n)
-            total[n - 1] += sum(hyp_grams.values())
-            correct[n - 1] += sum(
-                min(count, ref_grams[g]) for g, count in hyp_grams.items()
-            )
+        for n, (c, t) in enumerate(_match_counts(hyp_tokens, ref_tokens)):
+            correct[n] += c
+            total[n] += t
     precisions = tuple(
         (correct[n] / total[n]) if total[n] > 0 else 0.0 for n in range(NGRAM_ORDER)
     )
@@ -129,18 +136,10 @@ def sentence_bleu(hypothesis: str, reference: str, tokenize: bool = True) -> flo
     ref_tokens = (tokenize_13a(reference) if tokenize else reference).split()
     if not hyp_tokens:
         return 0.0
-    precisions: list[float] = []
-    for n in range(1, NGRAM_ORDER + 1):
-        hyp_grams = _ngrams(hyp_tokens, n)
-        ref_grams = _ngrams(ref_tokens, n)
-        total = sum(hyp_grams.values())
-        correct = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
-        if n == 1:
-            if total == 0 or correct == 0:
-                return 0.0
-            precisions.append(correct / total)
-        else:
-            precisions.append((correct + 1.0) / (total + 1.0))
+    (correct, total), *higher = _match_counts(hyp_tokens, ref_tokens)
+    if correct == 0:
+        return 0.0
+    precisions = [correct / total] + [(c + 1.0) / (t + 1.0) for c, t in higher]
     bp = 1.0 if len(hyp_tokens) >= len(ref_tokens) else math.exp(
         1.0 - len(ref_tokens) / len(hyp_tokens)
     )

@@ -62,10 +62,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 @dataclass(frozen=True)
 class Rng:
     """Counter-based random source; streams are independent per tag tuple.

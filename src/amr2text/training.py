@@ -226,8 +226,9 @@ def run_updates(
     training loss.  ``validate(params)``, if given, returns the validation
     loss at every checkpoint and picks the best snapshot; without it no
     snapshot is taken and the final parameters stand as the best.  Each
-    log line is written to ``log_path``: a fresh run (``start_step`` 0)
-    truncates it, a resumed run appends.
+    log line is written to ``log_path`` as the step ends, before
+    ``on_checkpoint`` sees it: a fresh run (``start_step`` 0) truncates the
+    file, a resumed run appends.
     """
     cfg.validate()
     params = replace_config_rates(params, cfg)
@@ -240,7 +241,12 @@ def run_updates(
     epoch = 0
     epoch_start = 0
     batches = epoch_batches(cfg.seed)
-    lines = open(log_path, "a" if start_step else "w", encoding="utf-8") if log_path else None
+    # Line-buffered, so the log on disk follows the run step by step.
+    lines = (
+        open(log_path, "a" if start_step else "w", buffering=1, encoding="utf-8")
+        if log_path
+        else None
+    )
     try:
         for step in range(1, cfg.max_updates + 1):
             if step - 1 - epoch_start >= len(batches):
@@ -263,7 +269,6 @@ def run_updates(
             lr = lr_at(step, cfg)
             opt.step(lr)
             valid_loss: float | None = None
-            stop = False
             if validate is not None and (
                 step % cfg.checkpoint_every == 0 or step == cfg.max_updates
             ):
@@ -275,13 +280,13 @@ def run_updates(
                     )
                 if best is None or valid_loss < best[0]:
                     best = (valid_loss, step, _snapshot(params))
-                stop = on_checkpoint is not None and on_checkpoint(step, params, valid_loss)
             log.append((step, lr, value, valid_loss))
             if lines:
                 v = "" if valid_loss is None else f"{valid_loss:.6f}"
                 lines.write(f"{step}\t{lr:.8g}\t{value:.6f}\t{v}\n")
-            if stop:
-                break
+            if valid_loss is not None and on_checkpoint is not None:
+                if on_checkpoint(step, params, valid_loss):
+                    break
     finally:
         if lines:
             lines.close()

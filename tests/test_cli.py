@@ -5,6 +5,7 @@ quickstart chain (linearize, train-bpe, build-corpus, train, generate,
 evaluate, attention-dump) runs here on data/toy with a tiny model and a few updates.
 """
 
+import argparse
 import os
 
 import numpy as np
@@ -127,6 +128,48 @@ def test_unknown_config_file_key_rejected(tmp_path):
     conf.write_text("not.a.key=1\n", encoding="utf-8")
     argv, _ = _bpe_args(tmp_path, "--config", str(conf))
     assert run(*argv) == 1
+
+
+# Every config key with the type of its default: the dataclass fields of
+# TrainConfig, ModelConfig, BeamConfig and NoiseSpec the CLI exposes, plus
+# the keys no dataclass holds.
+DEFAULT_KEY_TYPES = {
+    "beam.alpha": float, "beam.max_len": int, "beam.min_len": int, "beam.size": int,
+    "bpe.merges": int, "bpe.protect_roles": bool,
+    "corpus.derive_n": int, "corpus.split_mode": str,
+    "eval.tokenize": bool,
+    "model.d_depth": int, "model.d_model": int, "model.d_pos": int,
+    "model.d_subgraph": int, "model.d_word": int, "model.dec_layers": int,
+    "model.depth_buckets": int, "model.enc_layers": int, "model.ffn_dim": int,
+    "model.max_positions": int, "model.n_heads": int, "model.subgraph_buckets": int,
+    "noise.mask_prob": float, "noise.rounds": int, "noise.shuffle": bool,
+    "noise.span_lambda": float, "noise.span_mass": float,
+    "overlap.token_level": bool,
+    "sheet.min_words": int, "sheet.n_high": int, "sheet.n_low": int,
+    "train.base_lr": float, "train.checkpoint_every": int, "train.dropout": float,
+    "train.label_smoothing": float, "train.layerdrop": float,
+    "train.max_tokens_per_batch": int, "train.max_updates": int, "train.preset": str,
+    "train.warmup_steps": int, "train.weight_decay": float,
+}
+
+
+def test_default_keys_and_types_are_pinned():
+    assert len(DEFAULT_KEY_TYPES) == 40
+    assert {key: type(value) for key, value in DEFAULTS.items()} == DEFAULT_KEY_TYPES
+
+
+@pytest.mark.parametrize(
+    "key,value", [("train.preset", "bogus"), ("corpus.split_mode", "nope")]
+)
+def test_bad_choice_rejected_before_any_work(tmp_path, monkeypatch, capsys, key, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with a bad setting")
+
+    monkeypatch.setattr(cli, "train_bpe", no_work)
+    argv, out = _bpe_args(tmp_path, "--set", f"{key}={value}")
+    assert run(*argv) == 1
+    assert not out.exists()
+    assert key in capsys.readouterr().err
 
 
 def test_effective_config_lists_all_keys(tmp_path):
@@ -402,3 +445,89 @@ def test_pretraining_log_streams_and_rerun_overwrites(quickstart, command):
     # Only encoder pretraining validates, at every checkpoint_every (2) updates.
     validated = [row[0] for row in rows if row[3]]
     assert validated == (["2", "4"] if command == "pretrain-encoder" else [])
+
+
+# (subcommand, flag arguments, config key, echoed value): every dedicated flag.
+FLAGS = [
+    ("train-bpe", ["--merges", "7"], "bpe.merges", "7"),
+    ("train-bpe", ["--protect-roles"], "bpe.protect_roles", "True"),
+    ("build-corpus", ["--split-mode", "derive"], "corpus.split_mode", "derive"),
+    ("build-corpus", ["--derive-n", "5"], "corpus.derive_n", "5"),
+    ("pretrain-encoder", ["--rounds", "2"], "noise.rounds", "2"),
+    ("pretrain-encoder", ["--mask-prob", "0.25"], "noise.mask_prob", "0.25"),
+    ("pretrain-encoder", ["--span-lambda", "2.5"], "noise.span_lambda", "2.5"),
+    ("pretrain-encoder", ["--span-mass", "0.5"], "noise.span_mass", "0.5"),
+    ("pretrain-encoder", ["--no-shuffle"], "noise.shuffle", "False"),
+    ("pretrain-encoder", ["--updates", "2"], "train.max_updates", "2"),
+    ("pretrain-decoder", ["--updates", "2"], "train.max_updates", "2"),
+    ("train", ["--updates", "2"], "train.max_updates", "2"),
+    ("train", ["--preset", "pretrained"], "train.preset", "pretrained"),
+    ("generate", ["--beam", "2"], "beam.size", "2"),
+    ("generate", ["--alpha", "0.5"], "beam.alpha", "0.5"),
+    ("generate", ["--max-len", "9"], "beam.max_len", "9"),
+    ("generate", ["--min-len", "2"], "beam.min_len", "2"),
+    ("evaluate", ["--no-tokenize"], "eval.tokenize", "False"),
+    ("overlap-stats", ["--token-level"], "overlap.token_level", "True"),
+    ("human-eval-sheet", ["--n-high", "3"], "sheet.n_high", "3"),
+    ("human-eval-sheet", ["--n-low", "3"], "sheet.n_low", "3"),
+    ("human-eval-sheet", ["--min-words", "2"], "sheet.min_words", "2"),
+    ("attention-dump", ["--beam", "2"], "beam.size", "2"),
+    ("attention-dump", ["--alpha", "0.5"], "beam.alpha", "0.5"),
+    ("attention-dump", ["--max-len", "9"], "beam.max_len", "9"),
+]
+
+
+def _flag_base_argv(paths, command):
+    """Small, fast arguments for each subcommand; settings use --set, not flags."""
+    w = paths["w"]
+    tiny = ["--seed", "1", "--config", str(w / "train.cfg"), "--set", "train.max_updates=1"]
+    decode = ["--model", paths["model"], "--input", paths["test_lin"],
+              "--enc-bpe", paths["enc_bpe"], "--dec-bpe", paths["dec_bpe"],
+              "--set", "beam.max_len=12"]
+    sample = ["--hyp", f"{TOY}/test.en.txt", "--ref", f"{TOY}/test.en.txt"]
+    return {
+        "train-bpe": ["--in", f"{TOY}/train.en.txt"],
+        "build-corpus": ["--manifest", f"{TOY}/manifest.tsv", "--enc-bpe", paths["enc_bpe"],
+                         "--dec-bpe", paths["dec_bpe"], "--set", "corpus.derive_n=4"],
+        "pretrain-encoder": ["--amr", f"{TOY}/train.amr", "--bpe", paths["enc_bpe"],
+                             "--set", "noise.rounds=1", *tiny],
+        "pretrain-decoder": ["--text", f"en={TOY}/train.en.txt", "--bpe", paths["dec_bpe"],
+                             *tiny],
+        "train": ["--corpus", str(w / "corpus"), "--enc-bpe", paths["enc_bpe"],
+                  "--dec-bpe", paths["dec_bpe"], *tiny],
+        "generate": decode,
+        "evaluate": sample,
+        "overlap-stats": ["--amr", f"{TOY}/test.amr", "--bpe", paths["dec_bpe"],
+                          "--target", f"en={TOY}/test.en.txt",
+                          "--target", f"de={TOY}/test.de.txt",
+                          "--target", f"it={TOY}/test.en.txt",
+                          "--bleu", "en=30", "--bleu", "de=20", "--bleu", "it=10"],
+        "human-eval-sheet": [*sample, "--seed", "1", "--set", "sheet.n_high=2",
+                             "--set", "sheet.n_low=2", "--set", "sheet.min_words=1"],
+        "attention-dump": decode,
+    }[command]
+
+
+def test_flag_table_lists_every_flag():
+    subcommands = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = {
+        (command, action.option_strings[0], action.dest)
+        for command, parser in subcommands.choices.items()
+        for action in parser._actions
+        if action.dest in DEFAULTS
+    }
+    assert flags == {(command, flag[0], key) for command, flag, key, _ in FLAGS}
+
+
+@pytest.mark.parametrize("command,flag,key,value", FLAGS, ids=[
+    f"{command}{flag[0]}" for command, flag, _, _ in FLAGS
+])
+def test_flag_lands_in_run_config(quickstart, command, flag, key, value):
+    assert str(DEFAULTS[key]) != value
+    out = quickstart["w"] / "flags" / f"{command}{flag[0]}"
+    argv = [command, *_flag_base_argv(quickstart, command), *flag, "--out-dir", str(out)]
+    assert run(*argv) == 0
+    assert _read_config(out)[key] == value

@@ -250,6 +250,26 @@ def test_train_log_file(tmp_path):
     assert fields[0] == "3" and fields[3]  # validated step has a 4th column
 
 
+def test_log_is_on_disk_when_each_checkpoint_runs(tmp_path):
+    params = build(tiny_cfg(), seed=0)
+    data = toy_examples(4)
+    cfg = TrainConfig(
+        base_lr=0.005, warmup_steps=2, max_updates=6, dropout=0.0, layerdrop=0.0,
+        seed=1, checkpoint_every=2, max_tokens_per_batch=128,
+    )
+    log_path = tmp_path / "train.log"
+    on_disk = {}
+
+    def record(step, params, valid_loss):
+        on_disk[step] = log_path.read_text(encoding="utf-8").splitlines()
+        return False
+
+    train(params, data, data, cfg, pad_id=0, on_checkpoint=record, log_path=log_path)
+    assert sorted(on_disk) == [2, 4, 6]
+    for step, lines in on_disk.items():
+        assert [line.split("\t")[0] for line in lines] == [str(s) for s in range(1, step + 1)]
+
+
 def test_fresh_run_overwrites_log_and_resume_appends(tmp_path):
     data = toy_examples(4)
     cfg = TrainConfig(
