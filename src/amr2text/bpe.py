@@ -82,10 +82,6 @@ class BpeModel:
     def unk_id(self) -> int:
         return self.specials[UNK]
 
-    @property
-    def mask_id(self) -> int:
-        return self.specials[MASK]
-
     def lang_id(self, code: str) -> int:
         return self.specials[lang_token(code)]
 

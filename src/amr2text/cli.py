@@ -4,10 +4,11 @@ Settings resolve in three layers over DEFAULTS: an optional key=value
 config file (--config), then repeatable --set key=value overrides, then
 dedicated flags, each of which sets one key (--beam sets beam.size).  The
 keys are the fields of TrainConfig, ModelConfig, BeamConfig and NoiseSpec
-plus a few no dataclass holds.  Unknown keys and values outside a key's
-choices are rejected before any work.  Subcommands that write files place
-everything under --out-dir together with the effective configuration
-(run.config.txt).  Exit codes: 0 success, 1 usage error, 2 data error.
+plus a few no dataclass holds.  Unknown keys, values outside a key's
+choices and values a section's dataclass rejects fail before any work.
+Subcommands that write files place everything under --out-dir together
+with the effective configuration (run.config.txt).  Exit codes: 0
+success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -164,6 +165,15 @@ def resolve_config(args) -> tuple[dict, set[str]]:
             raise UsageError(
                 f"bad value for {key}: {cfg[key]!r} (choose from {', '.join(choices)})"
             )
+    # Every section is checked here, before any work; the fields the CLI
+    # sets itself get valid placeholders.
+    try:
+        _section(cfg, "train", seed=0).validate()
+        _section(cfg, "model", enc_vocab=1, dec_vocab=1).validate()
+        _section(cfg, "noise", seed=0).validate()
+        _section(cfg, "beam")  # BeamConfig checks itself on construction
+    except ValueError as err:
+        raise UsageError(f"bad setting: {err}") from None
     return cfg, provided
 
 

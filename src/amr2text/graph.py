@@ -43,10 +43,6 @@ class DuplicateVariableDefinition(PenmanError):
     pass
 
 
-class UndefinedVariableReference(PenmanError):
-    pass
-
-
 class CycleDetected(PenmanError):
     pass
 

@@ -11,7 +11,7 @@ during training (layerdrop).
 
 from __future__ import annotations
 
-import io
+import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -121,10 +121,6 @@ class ModelParams:
 
     def n_parameters(self) -> int:
         return sum(t.data.size for t in self.tensors.values())
-
-    def set_requires_grad(self, flag: bool) -> None:
-        for t in self.tensors.values():
-            t.requires_grad = flag
 
 
 def _xavier(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -579,56 +575,98 @@ def load_decoder_embeddings(
     return initialized, params.config.dec_vocab
 
 
-def save_checkpoint(params: ModelParams, path) -> None:
-    """Header (version + config key=value), then named float32 LE tensors."""
-    cfg = params.config
-    with open(path, "wb") as f:
-        header = io.StringIO()
-        header.write(CHECKPOINT_MAGIC + "\n")
-        for fld in fields(cfg):
-            header.write(f"{fld.name}={getattr(cfg, fld.name)}\n")
-        header.write("#tensors\n")
-        f.write(header.getvalue().encode("utf-8"))
-        for name, t in params.named():
-            shape = ",".join(str(d) for d in t.shape)
-            f.write(f"tensor {name} {shape}\n".encode("utf-8"))
-            f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+def write_arrays(path, header: dict, arrays) -> None:
+    """Write the one checkpoint format: the version line, one ``key=value``
+    line per header item, ``#tensors``, then for each (name, array) a
+    ``tensor NAME D1,D2,...`` line and the array's float32 LE bytes.
+
+    The file is written beside ``path`` and renamed over it only once
+    complete, so a failed write leaves any previous file as it was.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            lines = [CHECKPOINT_MAGIC, *(f"{k}={v}" for k, v in header.items()), "#tensors"]
+            f.write(("\n".join(lines) + "\n").encode("utf-8"))
+            for name, data in arrays:
+                shape = ",".join(str(d) for d in data.shape)
+                f.write(f"tensor {name} {shape}\n".encode("utf-8"))
+                f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-def load_checkpoint(path) -> ModelParams:
+def read_arrays(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """(header, {name: read-only float32 array}) of a file written by ``write_arrays``."""
     with open(path, "rb") as f:
         blob = f.read()
     end = blob.find(b"#tensors\n")
-    if end < 0 or not blob.startswith(CHECKPOINT_MAGIC.encode("utf-8")):
+    if end < 0 or not blob.startswith(CHECKPOINT_MAGIC.encode("utf-8") + b"\n"):
         raise MalformedCheckpoint("missing header or #tensors marker")
-    header_lines = blob[:end].decode("utf-8").splitlines()[1:]
-    field_types = {f.name: f.type for f in fields(ModelConfig)}
-    kwargs = {}
-    for line in header_lines:
-        key, _, value = line.partition("=")
-        if key not in field_types:
-            raise MalformedCheckpoint(f"unknown config key {key!r}")
-        kwargs[key] = float(value) if field_types[key] == "float" else int(value)
-    cfg = ModelConfig(**kwargs)
+    try:
+        header = dict(
+            line.split("=", 1) for line in blob[:end].decode("utf-8").splitlines()[1:]
+        )
+        arrays: dict[str, np.ndarray] = {}
+        offset = end + len(b"#tensors\n")
+        while offset < len(blob):
+            newline = blob.index(b"\n", offset)
+            kind, name, shape_text = blob[offset:newline].decode("utf-8").split(" ")
+            if kind != "tensor" or name in arrays:
+                raise ValueError(f"bad tensor line for {name!r}")
+            shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
+            count, start = int(np.prod(shape)), newline + 1
+            if count < 0 or start + 4 * count > len(blob):
+                raise ValueError(f"truncated tensor data for {name!r}")
+            # a view into blob: no per-tensor copy of the bytes
+            data = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
+            arrays[name] = data.reshape(shape)
+            offset = start + 4 * count
+    except ValueError as err:  # also undecodable text, a missing field, a bad number
+        raise MalformedCheckpoint(f"unreadable checkpoint: {err}") from None
+    return header, arrays
+
+
+def check_header(header: dict[str, str], types: dict) -> dict:
+    """The header's values converted by ``types``, whose keys it must hold exactly."""
+    if set(header) != set(types):
+        missing, unknown = sorted(set(types) - set(header)), sorted(set(header) - set(types))
+        raise MalformedCheckpoint(f"header keys: missing {missing}, unknown {unknown}")
+    try:
+        return {key: types[key](value) for key, value in header.items()}
+    except ValueError as err:
+        raise MalformedCheckpoint(f"bad header value: {err}") from None
+
+
+def check_arrays(arrays: dict[str, np.ndarray], schema) -> None:
+    """Raise MalformedCheckpoint unless ``arrays`` holds exactly the names
+    and shapes of ``schema``, a list of (name, shape)."""
+    got = {name: a.shape for name, a in arrays.items()}
+    want = {name: tuple(shape) for name, shape in schema}
+    if got != want:
+        bad = sorted(n for n in got.keys() | want.keys() if got.get(n) != want.get(n))
+        shapes = ", ".join(f"{n} {got.get(n)} (expected {want.get(n)})" for n in bad[:3])
+        raise MalformedCheckpoint(f"arrays do not fit: {shapes}")
+
+
+def save_checkpoint(params: ModelParams, path) -> None:
+    """The model's config as the header, then its tensors in name order."""
+    header = {f.name: getattr(params.config, f.name) for f in fields(ModelConfig)}
+    write_arrays(path, header, ((name, t.data) for name, t in params.named()))
+
+
+def load_checkpoint(path) -> ModelParams:
+    header, arrays = read_arrays(path)
+    types = {f.name: float if f.type == "float" else int for f in fields(ModelConfig)}
+    cfg = ModelConfig(**check_header(header, types))
+    try:
+        cfg.validate()
+    except InvalidConfig as err:
+        raise MalformedCheckpoint(f"bad model config: {err}") from None
+    check_arrays(arrays, _schema(cfg))
     params = ModelParams(config=cfg)
-    offset = end + len(b"#tensors\n")
-    while offset < len(blob):
-        newline = blob.index(b"\n", offset)
-        line = blob[offset:newline].decode("utf-8")
-        offset = newline + 1
-        if not line.startswith("tensor "):
-            raise MalformedCheckpoint(f"expected tensor line, got {line!r}")
-        _, name, shape_text = line.split(" ")
-        shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
-        nbytes = int(np.prod(shape)) * 4 if shape else 4
-        raw = blob[offset : offset + nbytes]
-        if len(raw) != nbytes:
-            raise MalformedCheckpoint(f"truncated tensor data for {name!r}")
-        offset += nbytes
-        data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(T.default_dtype())
-        params.tensors[name] = Tensor(data, requires_grad=True)
-    expected = {name for name, _ in _schema(cfg)}
-    if set(params.tensors) != expected:
-        missing = sorted(expected - set(params.tensors))
-        raise MalformedCheckpoint(f"checkpoint tensor names do not match schema: {missing[:3]}")
+    for name, data in arrays.items():
+        params.tensors[name] = Tensor(data.astype(T.default_dtype()), requires_grad=True)
     return params

@@ -21,11 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bpe import MASK, BpeModel, encode
-from .corpus import ParallelExample, make_batches, pack_sequences
+from .corpus import ParallelExample, pack_sequences
 from .langs import is_lang_token
 from .linearize import LinearizedAmr
-from .model import EncoderInput, ModelParams, build, decoder_forward
-from .model import encode as encode_model
+from .model import ModelParams, build, decoder_forward
 from .tensor import Rng, label_smoothed_nll, no_grad
 from .training import TrainConfig, TrainResult, run_updates
 from . import training
@@ -123,8 +122,8 @@ def _check_balance(tokens: list[str]) -> None:
         raise UnbalancedInput(f"{depth} unclosed parens")
 
 
-def _segment_spans(tokens: list[str]) -> tuple[int, list[tuple[int, int]], int]:
-    """(body start, per-segment [start, end) spans, body end) of root children.
+def _segment_spans(tokens: list[str]) -> list[tuple[int, int]]:
+    """Per-segment [start, end) spans of the root's children.
 
     A segment is a role token at root depth together with its value or
     parenthesized subtree.  Returns no segments when the sequence is not a
@@ -136,7 +135,7 @@ def _segment_spans(tokens: list[str]) -> tuple[int, list[tuple[int, int]], int]:
         or tokens[offset] != "("
         or tokens[-1] != ")"
     ):
-        return offset, [], len(tokens)
+        return []
     segments: list[tuple[int, int]] = []
     depth = 0
     start = None
@@ -153,42 +152,54 @@ def _segment_spans(tokens: list[str]) -> tuple[int, list[tuple[int, int]], int]:
             if depth == 0:
                 if start is not None:
                     segments.append((start, i))
-                return offset, segments, i
-    return offset, segments, len(tokens)
+                return segments
+    return segments
 
 
-def mask_tokens(tokens, spec: NoiseSpec, example_index: int = 0) -> list[str]:
-    """Independently replace non-structural tokens with <mask>."""
+def mask_tokens(tokens, spec: NoiseSpec, example_index: int = 0, features=None):
+    """Independently replace non-structural tokens with <mask>.
+
+    With ``features`` (one item per token), returns (tokens, features);
+    masking moves no token, so the features come back as given.
+    """
     tokens = list(tokens)
     gen = Rng(spec.seed).stream("mask", example_index)
     positions = _mask_positions(tokens, spec, gen)
-    return [MASK if i in positions else t for i, t in enumerate(tokens)]
+    out = [MASK if i in positions else t for i, t in enumerate(tokens)]
+    return out if features is None else (out, list(features))
 
 
-def mask_spans(tokens, spec: NoiseSpec, example_index: int = 0) -> list[str]:
-    """Collapse Poisson-length spans into single <mask> tokens."""
+def mask_spans(tokens, spec: NoiseSpec, example_index: int = 0, features=None):
+    """Collapse Poisson-length spans into single <mask> tokens.
+
+    With ``features`` (one item per token), returns (tokens, features); a
+    collapsed span keeps its first token's feature item.
+    """
     tokens = list(tokens)
     gen = Rng(spec.seed).stream("spans", example_index)
     covered = _span_cover(tokens, spec, gen)
-    return _collapse_groups(tokens, covered, lambda i: MASK)
+    out = _collapse_groups(tokens, covered, lambda i: MASK)
+    if features is None:
+        return out
+    return out, _collapse_groups(features, covered, lambda i: features[i])
 
 
-def shuffle_segments(tokens, spec: NoiseSpec, example_index: int = 0) -> list[str]:
-    """Permute the root's child segments with a seeded permutation."""
+def shuffle_segments(tokens, spec: NoiseSpec, example_index: int = 0, features=None):
+    """Permute the root's child segments with a seeded permutation.
+
+    With ``features`` (one item per token), returns (tokens, features), the
+    features permuted with their tokens.
+    """
     tokens = list(tokens)
     _check_balance(tokens)
     gen = Rng(spec.seed).stream("shuffle", example_index)
-    offset, segments, end = _segment_spans(tokens)
-    if len(segments) < 2:
-        return tokens
-    perm = gen.permutation(len(segments))
-    head = tokens[: segments[0][0]]
-    tail = tokens[segments[-1][1] :]
-    body: list[str] = []
-    for j in perm:
-        s, e = segments[j]
-        body.extend(tokens[s:e])
-    return head + body + tail
+    segments = _segment_spans(tokens)
+    order = list(range(len(tokens)))
+    if len(segments) >= 2:
+        body = [i for j in gen.permutation(len(segments)) for i in range(*segments[j])]
+        order = order[: segments[0][0]] + body + order[segments[-1][1] :]
+    out = [tokens[i] for i in order]
+    return out if features is None else (out, [features[i] for i in order])
 
 
 def apply_noise(
@@ -198,47 +209,22 @@ def apply_noise(
     depth_ids=None,
     subgraph_ids=None,
 ):
-    """Spans, then token masking, then segment shuffle; optional feature rows
-    move with their tokens (a collapsed span keeps its first token's ids).
+    """Spans, then token masking, then segment shuffle (if ``spec.shuffle``);
+    optional feature rows move with their tokens (a collapsed span keeps its
+    first token's ids).
 
     Returns (tokens, depth_ids, subgraph_ids); the feature rows are None
     when not supplied.
     """
-    tokens = list(lin_tokens)
-    features = None
-    if depth_ids is not None and subgraph_ids is not None:
-        features = list(zip(depth_ids, subgraph_ids))
-    gen_spans = Rng(spec.seed).stream("spans", example_index)
-    covered = _span_cover(tokens, spec, gen_spans) if spec.span_mass > 0 else set()
-    if covered:
-        if features is not None:
-            features = _collapse_groups(features, covered, lambda i: features[i])
-        tokens = _collapse_groups(tokens, covered, lambda i: MASK)
-    gen_mask = Rng(spec.seed).stream("mask", example_index)
-    positions = _mask_positions(tokens, spec, gen_mask) if spec.mask_prob > 0 else set()
-    tokens = [MASK if i in positions else t for i, t in enumerate(tokens)]
+    given = depth_ids is not None and subgraph_ids is not None
+    features = list(zip(depth_ids, subgraph_ids)) if given else [None] * len(lin_tokens)
+    tokens, features = mask_spans(lin_tokens, spec, example_index, features)
+    tokens, features = mask_tokens(tokens, spec, example_index, features)
     if spec.shuffle:
-        _check_balance(tokens)
-        gen_shuffle = Rng(spec.seed).stream("shuffle", example_index)
-        offset, segments, _ = _segment_spans(tokens)
-        if len(segments) >= 2:
-            perm = gen_shuffle.permutation(len(segments))
-            head_end, tail_start = segments[0][0], segments[-1][1]
-            new_tokens = tokens[:head_end]
-            new_features = features[:head_end] if features is not None else None
-            for j in perm:
-                s, e = segments[j]
-                new_tokens.extend(tokens[s:e])
-                if new_features is not None:
-                    new_features.extend(features[s:e])
-            new_tokens.extend(tokens[tail_start:])
-            if new_features is not None:
-                new_features.extend(features[tail_start:])
-                features = new_features
-            tokens = new_tokens
-    if features is not None:
-        return tokens, [d for d, _ in features], [s for _, s in features]
-    return tokens, None, None
+        tokens, features = shuffle_segments(tokens, spec, example_index, features)
+    if not given:
+        return tokens, None, None
+    return tokens, [d for d, _ in features], [s for _, s in features]
 
 
 def noised_examples(
@@ -323,29 +309,6 @@ def pretrain_encoder(
         log_path=log_path,
     )
     return temp, result
-
-
-def token_accuracy(params: ModelParams, examples: list[ParallelExample], pad_id: int) -> float:
-    """Teacher-forced argmax accuracy over non-pad target positions."""
-    batches = make_batches(examples, max_tokens=4096, shuffle_seed=0, pad_id=pad_id)
-    correct = 0
-    total = 0
-    with no_grad():
-        for batch in batches:
-            enc_in = EncoderInput(
-                piece_ids=batch.src,
-                depth_ids=batch.src_depth,
-                subgraph_ids=batch.src_subgraph,
-                pad_mask=batch.src_pad_mask,
-            )
-            memory, memory_mask = encode_model(params, enc_in)
-            logits, _ = decoder_forward(params, memory, memory_mask, batch.tgt[:, :-1])
-            pred = logits.data.argmax(axis=-1)
-            gold = batch.tgt[:, 1:]
-            mask = gold != pad_id
-            correct += int((pred[mask] == gold[mask]).sum())
-            total += int(mask.sum())
-    return correct / total if total else 0.0
 
 
 def lm_sequences(

@@ -18,10 +18,14 @@ from .corpus import Batch, ParallelExample, make_batches
 from .model import (
     EncoderInput,
     ModelParams,
+    check_arrays,
+    check_header,
     decoder_forward,
     encode,
     load_checkpoint,
     load_decoder_embeddings,
+    read_arrays,
+    write_arrays,
 )
 from .tensor import AllPadTarget, Rng, Tensor, label_smoothed_nll, no_grad
 
@@ -32,10 +36,6 @@ class DivergedLoss(RuntimeError):
     def __init__(self, message: str, last_good: ModelParams | None = None):
         super().__init__(message)
         self.last_good = last_good
-
-
-class DiskFull(OSError):
-    pass
 
 
 class ConfigMismatch(ValueError):
@@ -117,33 +117,25 @@ class Adam:
             vhat = self.v[i] / bias2
             p.data -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
 
-    def state(self) -> dict:
-        return {"t": self.t, "m": self.m, "v": self.v}
-
-    def load_state(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.m = [np.asarray(a) for a in state["m"]]
-        self.v = [np.asarray(a) for a in state["v"]]
-
 
 def save_trainer_state(path, step: int, opt: Adam) -> None:
-    arrays = {"step": np.asarray(step), "t": np.asarray(opt.t)}
-    for i, (m, v) in enumerate(zip(opt.m, opt.v)):
-        arrays[f"m{i}"] = m
-        arrays[f"v{i}"] = v
-    try:
-        np.savez(path, **arrays)
-    except OSError as err:
-        raise DiskFull(f"could not write trainer state: {err}") from err
+    """Adam's moments as ``m.<i>``/``v.<i>`` arrays, ``step`` and ``t`` as header keys."""
+    moments = [(f"m.{i}", m) for i, m in enumerate(opt.m)]
+    moments += [(f"v.{i}", v) for i, v in enumerate(opt.v)]
+    write_arrays(path, {"step": step, "t": opt.t}, moments)
 
 
 def load_trainer_state(path, opt: Adam) -> int:
-    with np.load(path) as z:
-        step = int(z["step"])
-        opt.t = int(z["t"])
-        opt.m = [z[f"m{i}"] for i in range(len(opt.m))]
-        opt.v = [z[f"v{i}"] for i in range(len(opt.v))]
-    return step
+    """Restore ``opt`` from a saved trainer state; returns the saved step."""
+    header, arrays = read_arrays(path)
+    values = check_header(header, {"step": int, "t": int})
+    check_arrays(
+        arrays, [(f"{k}.{i}", p.shape) for k in "mv" for i, p in enumerate(opt.params)]
+    )
+    opt.t = values["t"]
+    opt.m = [arrays[f"m.{i}"].astype(p.data.dtype) for i, p in enumerate(opt.params)]
+    opt.v = [arrays[f"v.{i}"].astype(p.data.dtype) for i, p in enumerate(opt.params)]
+    return values["step"]
 
 
 def batch_loss(

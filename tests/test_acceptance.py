@@ -552,7 +552,7 @@ def test_c10_pretraining_reaches_threshold_first(tmp_path):
         f"loss {pre_loss:.4f}, not below {_PRETRAIN_STOP_LOSS}: the "
         f"{pc.max_updates}-update cap cut it off"
     )
-    ckpt = tmp_path / "encoder.npz"
+    ckpt = tmp_path / "encoder.ckpt"
     save_checkpoint(pretrained, ckpt)
     n_enc = sum(1 for name in pretrained.tensors if name.startswith("enc"))
 

@@ -172,6 +172,23 @@ def test_bad_choice_rejected_before_any_work(tmp_path, monkeypatch, capsys, key,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--corpus", "c", "--seed", "1", "--set", "train.warmup_steps=0"],
+    ["generate", "--model", "m.ckpt", "--input", "in.lin", "--set", "beam.min_len=20",
+     "--max-len", "12"],
+], ids=["train", "generate"])
+def test_bad_value_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with a bad setting")
+
+    monkeypatch.setattr(cli, "load_bpe", no_work)
+    monkeypatch.setattr(cli, "load_checkpoint", no_work)
+    out = tmp_path / "out"
+    assert run(*argv, "--enc-bpe", "e", "--dec-bpe", "d", "--out-dir", str(out)) == 1
+    assert not out.exists()  # no run.config.txt either
+    assert "bad setting" in capsys.readouterr().err
+
+
 def test_effective_config_lists_all_keys(tmp_path):
     argv, out = _bpe_args(tmp_path)
     assert run(*argv) == 0

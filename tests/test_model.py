@@ -1,5 +1,8 @@
 """Transformer model tests: shapes, masking, tying, checkpoints."""
 
+import os
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,9 @@ from amr2text.model import (
     load_checkpoint,
     load_decoder_embeddings,
     save_checkpoint,
+    write_arrays,
 )
+from amr2text.training import Adam, TrainConfig, load_trainer_state
 
 TINY = ModelConfig(
     enc_vocab=23,
@@ -256,6 +261,50 @@ def test_checkpoint_truncated(tmp_path, params):
     path.write_bytes(blob[: len(blob) - 50])
     with pytest.raises(MalformedCheckpoint):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", [
+    "config key missing", "config invalid", "tensor shape",
+    "state arrays missing", "state shapes",
+])
+def test_reader_rejects_files_that_do_not_fit(tmp_path, params, case):
+    header = {f.name: getattr(TINY, f.name) for f in fields(ModelConfig)}
+    arrays = {name: t.data for name, t in params.named()}
+    load = load_checkpoint
+    if case == "config key missing":
+        del header["d_pos"]
+    elif case == "config invalid":
+        header["n_heads"] = 3  # d_model 16 is not divisible by 3
+    elif case == "tensor shape":
+        arrays["enc_in_bias"] = np.zeros((4, 4))
+    else:
+        # trainer state for an optimizer over one (5,) parameter
+        header = {"step": 3, "t": 3}
+        shape = (5,) if case == "state arrays missing" else (2, 2)
+        arrays = {"m.0": np.zeros(shape)}
+        if case == "state shapes":
+            arrays["v.0"] = np.zeros(shape)
+        opt = Adam([T.Tensor(np.zeros(5), requires_grad=True)], TrainConfig())
+        load = lambda path: load_trainer_state(path, opt)  # noqa: E731
+    path = tmp_path / "bad.ckpt"
+    write_arrays(path, header, arrays.items())
+    with pytest.raises(MalformedCheckpoint):
+        load(path)
+
+
+def test_failed_write_leaves_previous_file(tmp_path, params):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    before = path.read_bytes()
+
+    def arrays():
+        yield "first", np.zeros(3)
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError):
+        write_arrays(path, {"k": 1}, arrays())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
 def test_load_decoder_embeddings(tmp_path, params):

@@ -22,7 +22,6 @@ from amr2text.pretraining import (
     pretrain_decoder,
     pretrain_encoder,
     shuffle_segments,
-    token_accuracy,
 )
 from amr2text.tensor import no_grad
 from amr2text.training import DivergedLoss, TrainConfig
@@ -199,16 +198,6 @@ def test_pretrain_encoder_updates_shared_encoder_only():
     for name in enc_before:
         assert temp.tensors[name] is params.tensors[name]  # shared, not copied
     assert len(result.log) == 3
-
-
-def test_token_accuracy_bounds():
-    corpus = [linearize_for_language(parse_penman(AMR), "en")]
-    enc = train_bpe([" ".join(corpus[0].tokens)], 30, protect_roles=True)
-    spec = NoiseSpec(mask_prob=0.1, span_mass=0.1, seed=0)
-    examples = noised_examples(corpus, enc, spec, rounds=2)
-    params = build(tiny_cfg(enc.vocab_size, enc.vocab_size), seed=0)
-    acc = token_accuracy(params, examples, enc.pad_id)
-    assert 0.0 <= acc <= 1.0
 
 
 def test_lm_sequences_layout():

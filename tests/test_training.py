@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from amr2text.corpus import ParallelExample, make_batches
-from amr2text.model import ModelConfig, build, save_checkpoint
+from amr2text.model import ModelConfig, build, load_checkpoint, save_checkpoint
 from amr2text.tensor import Tensor
 from amr2text.training import (
     Adam,
@@ -164,7 +164,7 @@ def test_train_deterministic_across_runs():
         np.testing.assert_array_equal(t.data, r2.final_params[name].data)
 
 
-def test_resume_reproduces_uninterrupted_run():
+def test_resume_reproduces_uninterrupted_run(tmp_path):
     data = toy_examples(5)
     cfg = TrainConfig(
         base_lr=0.005, warmup_steps=2, max_updates=10, dropout=0.0, layerdrop=0.0,
@@ -179,8 +179,15 @@ def test_resume_reproduces_uninterrupted_run():
         TrainConfig(**{**cfg.__dict__, "max_updates": 6}),
         pad_id=0, optimizer=opt,
     )
+    # The interrupted run's state goes through the files a resume reads.
+    save_checkpoint(first.final_params, tmp_path / "last.ckpt")
+    save_trainer_state(tmp_path / "trainer.state", step=6, opt=opt)
+    reloaded = load_checkpoint(tmp_path / "last.ckpt")
+    opt = Adam(reloaded.parameters(), cfg)
+    step = load_trainer_state(tmp_path / "trainer.state", opt)
+    assert step == 6
     resumed = train(
-        first.final_params, data, data, cfg, pad_id=0, start_step=6, optimizer=opt,
+        reloaded, data, data, cfg, pad_id=0, start_step=step, optimizer=opt,
     )
     assert [row[:3] for row in full.log] == [
         row[:3] for row in first.log + resumed.log
@@ -194,7 +201,7 @@ def test_trainer_state_round_trip(tmp_path):
     opt = Adam([p], TrainConfig())
     p.grad = np.full((2, 2), 0.5, dtype=np.float32)
     opt.step(0.01)
-    path = tmp_path / "trainer.npz"
+    path = tmp_path / "trainer.state"
     save_trainer_state(path, step=17, opt=opt)
     opt2 = Adam([Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)], TrainConfig())
     step = load_trainer_state(path, opt2)
