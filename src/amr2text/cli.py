@@ -37,7 +37,6 @@ from .generation import BeamConfig, attention_dump, beam_search, check_max_len
 from .graph import PenmanError, iter_penman_blocks, parse_penman, serialize_penman
 from .langs import DEFAULT_LANGUAGES, check_language, is_lang_token, parse_lang_token
 from .linearize import (
-    LANG_SENTINEL,
     LinearizedAmr,
     linearize_for_language,
     prepend_language_token,
@@ -224,7 +223,7 @@ def _load_lin_inputs(input_path: str, features_path: str | None) -> list[Lineari
     out = []
     for line in _read_lines(input_path):
         tokens = tuple(line.split())
-        out.append(LinearizedAmr(tokens=tokens, alignment=(LANG_SENTINEL,) * len(tokens)))
+        out.append(LinearizedAmr(tokens, (0,) * len(tokens), (0,) * len(tokens)))
     return out
 
 

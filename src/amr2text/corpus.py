@@ -20,7 +20,7 @@ import numpy as np
 
 from .bpe import BpeModel, encode
 from .graph import PenmanError, parse_penman
-from .langs import DEFAULT_LANGUAGES, UnknownLanguage, check_language
+from .langs import UnknownLanguage, check_language
 from .linearize import LinearizedAmr, linearize_for_language
 from .tensor import Rng
 

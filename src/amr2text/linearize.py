@@ -1,4 +1,4 @@
-"""Graph simplification, linearization, and per-token graph features.
+"""Linearization with per-token graph features.
 
 The encoder consumes AMR as a flat token sequence: a depth-first pre-order
 walk that keeps parentheses and role tokens but drops variable names and
@@ -6,26 +6,17 @@ the ``/`` instance-of separator.  Re-entrant nodes are rendered as a bare
 repetition of their concept.  Every token additionally carries two small
 integers, the depth of its governing node below the root and the index of
 the root subtree containing that node, which the model embeds alongside
-word and position.
+word and position.  The ids are raw; the model clamps them to the size of
+its feature embedding tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import AmrGraph, InvalidGraph, validate
-from .langs import DEFAULT_LANGUAGES, check_language, is_lang_token, lang_token
-
-MAX_DEPTH_BUCKET = 32
-MAX_SUBGRAPH_BUCKET = 64
-
-# Alignment entry for the language token, which governs no graph node.
-LANG_SENTINEL = "<lang>"
-
-
-class MissingAlignment(ValueError):
-    pass
+from .langs import check_language, is_lang_token, lang_token
 
 
 class AlreadyHasLanguageToken(ValueError):
@@ -42,102 +33,28 @@ class NodeFeatures:
 
 @dataclass(frozen=True)
 class LinearizedAmr:
-    """A token sequence with per-token node alignment and graph features.
-
-    ``alignment[i]`` names the node governing token i (or LANG_SENTINEL for
-    a language token).  Feature ids are zero until attach_features fills
-    them from NodeFeatures.
-    """
+    """A token sequence with per-token depth and subgraph ids."""
 
     tokens: tuple[str, ...]
-    alignment: tuple[str, ...]
-    depth_ids: tuple[int, ...] = field(default=())
-    subgraph_ids: tuple[int, ...] = field(default=())
+    depth_ids: tuple[int, ...]
+    subgraph_ids: tuple[int, ...]
     language_token: str | None = None
 
     def __post_init__(self):
-        if not self.depth_ids:
-            object.__setattr__(self, "depth_ids", (0,) * len(self.tokens))
-        if not self.subgraph_ids:
-            object.__setattr__(self, "subgraph_ids", (0,) * len(self.tokens))
-        n = len(self.tokens)
-        if not (len(self.alignment) == len(self.depth_ids) == len(self.subgraph_ids) == n):
-            raise ValueError("tokens, alignment, and feature lists must align")
-
-
-def _require_valid(g: AmrGraph) -> None:
-    problems = validate(g)
-    if problems:
-        raise InvalidGraph("; ".join(f"{v.kind}({v.subject})" for v in problems))
-
-
-def simplify(g: AmrGraph) -> AmrGraph:
-    """Strip variable names by renaming nodes to positional ids n0, n1, ...
-
-    Topology, concepts, attributes (entities and dates included), and the
-    written order of outgoing items are all preserved; only node identity
-    changes.  The instance-of separator disappears later, at linearization.
-    """
-    _require_valid(g)
-    rename = {old: f"n{i}" for i, old in enumerate(g.nodes)}
-    return AmrGraph(
-        root=rename[g.root],
-        nodes={rename[v]: c for v, c in g.nodes.items()},
-        edges=tuple((rename[s], r, rename[t]) for s, r, t in g.edges),
-        attributes=tuple((rename[s], r, val) for s, r, val in g.attributes),
-        out_order=g.out_order,
-    )
-
-
-def linearize(g: AmrGraph) -> LinearizedAmr:
-    """Flatten a graph to tokens via DFS pre-order.
-
-    At node entry emit "(" and the concept; per outgoing item emit the role
-    token then the child rendering (a parenthesized subtree on first visit,
-    the bare concept on re-entrant mention, the literal for attributes);
-    emit ")" at exit.  Alignment: parens and concepts belong to their node,
-    roles and attribute literals to the edge's source node.  Literals with
-    internal whitespace split into one token per word (all aligned to the
-    source node) so the space-joined file layout stays invertible.
-    """
-    _require_valid(g)
-    outgoing = g.outgoing()
-    tokens: list[str] = []
-    alignment: list[str] = []
-    visited: set[str] = set()
-
-    def walk(node: str) -> None:
-        visited.add(node)
-        tokens.append("(")
-        alignment.append(node)
-        tokens.append(g.nodes[node])
-        alignment.append(node)
-        for role, value, child in outgoing[node]:
-            tokens.append(role)
-            alignment.append(node)
-            if child is None:
-                for piece in value.split():
-                    tokens.append(piece)
-                    alignment.append(node)
-            elif child in visited:
-                tokens.append(g.nodes[child])
-                alignment.append(child)
-            else:
-                walk(child)
-        tokens.append(")")
-        alignment.append(node)
-
-    walk(g.root)
-    return LinearizedAmr(tokens=tuple(tokens), alignment=tuple(alignment))
+        if not (len(self.tokens) == len(self.depth_ids) == len(self.subgraph_ids)):
+            raise ValueError("tokens and feature lists must align")
 
 
 def compute_node_features(g: AmrGraph) -> NodeFeatures:
-    """Depth by BFS from the root; subgraph by first covering root subtree.
+    """Validate the graph; depth by BFS from the root; subgraph by first
+    covering root subtree.
 
     A non-root node's subgraph id is 1 + the index (in the root's outgoing
     edge order) of the first root child from which the node is reachable.
     """
-    _require_valid(g)
+    problems = validate(g)
+    if problems:
+        raise InvalidGraph("; ".join(f"{v.kind}({v.subject})" for v in problems))
     adj: dict[str, list[str]] = {n: [] for n in g.nodes}
     for src, _, tgt in g.edges:
         adj[src].append(tgt)
@@ -170,59 +87,63 @@ def compute_node_features(g: AmrGraph) -> NodeFeatures:
     return NodeFeatures(depth=depth, subgraph=subgraph)
 
 
-def attach_features(
-    lin: LinearizedAmr,
-    nf: NodeFeatures,
-    max_depth_bucket: int = MAX_DEPTH_BUCKET,
-    max_subgraph_bucket: int = MAX_SUBGRAPH_BUCKET,
-) -> LinearizedAmr:
-    """Fill per-token feature ids from node features, clamped to buckets."""
-    depth_ids: list[int] = []
-    subgraph_ids: list[int] = []
-    for node in lin.alignment:
-        if node == LANG_SENTINEL:
-            depth_ids.append(0)
-            subgraph_ids.append(0)
-            continue
-        if node not in nf.depth or node not in nf.subgraph:
-            raise MissingAlignment(f"no features for node {node!r}")
-        depth_ids.append(min(nf.depth[node], max_depth_bucket))
-        subgraph_ids.append(min(nf.subgraph[node], max_subgraph_bucket))
-    return replace(lin, depth_ids=tuple(depth_ids), subgraph_ids=tuple(subgraph_ids))
-
-
-def prepend_language_token(
-    lin: LinearizedAmr, lang: str, languages: frozenset[str] = DEFAULT_LANGUAGES
-) -> LinearizedAmr:
+def prepend_language_token(lin: LinearizedAmr, lang: str) -> LinearizedAmr:
     """Prefix the target-language token; it carries zero feature ids."""
-    check_language(lang, languages)
+    check_language(lang)
     if lin.language_token is not None or (lin.tokens and is_lang_token(lin.tokens[0])):
         raise AlreadyHasLanguageToken(lin.tokens[0])
     token = lang_token(lang)
     return LinearizedAmr(
         tokens=(token,) + lin.tokens,
-        alignment=(LANG_SENTINEL,) + lin.alignment,
         depth_ids=(0,) + lin.depth_ids,
         subgraph_ids=(0,) + lin.subgraph_ids,
         language_token=token,
     )
 
 
-def linearize_for_language(
-    g: AmrGraph,
-    lang: str | None = None,
-    max_depth_bucket: int = MAX_DEPTH_BUCKET,
-    max_subgraph_bucket: int = MAX_SUBGRAPH_BUCKET,
-    languages: frozenset[str] = DEFAULT_LANGUAGES,
-) -> LinearizedAmr:
-    """simplify + linearize + features (+ optional language token)."""
-    simple = simplify(g)
-    lin = attach_features(
-        linearize(simple), compute_node_features(simple), max_depth_bucket, max_subgraph_bucket
-    )
-    if lang is not None:
-        lin = prepend_language_token(lin, lang, languages)
-    return lin
+def linearize_for_language(g: AmrGraph, lang: str | None = None) -> LinearizedAmr:
+    """Flatten a graph to tokens and raw feature ids in one DFS pre-order
+    walk, then prefix the language token if ``lang`` is given.
+
+    At node entry emit "(" and the concept; per outgoing item emit the role
+    token then the child rendering (a parenthesized subtree on first visit,
+    the bare concept on re-entrant mention, the literal for attributes);
+    emit ")" at exit.  A token's ids are those of its governing node: parens
+    and concepts belong to their node, a re-entrant mention to the node it
+    names, roles and attribute literals to the edge's source node.  Literals
+    with internal whitespace split into one token per word (all governed by
+    the source node) so the space-joined file layout stays invertible.
+    """
+    nf = compute_node_features(g)  # the one validation of g
+    outgoing = g.outgoing()
+    tokens: list[str] = []
+    depth_ids: list[int] = []
+    subgraph_ids: list[int] = []
+    visited: set[str] = set()
+
+    def emit(token: str, node: str) -> None:
+        tokens.append(token)
+        depth_ids.append(nf.depth[node])
+        subgraph_ids.append(nf.subgraph[node])
+
+    def walk(node: str) -> None:
+        visited.add(node)
+        emit("(", node)
+        emit(g.nodes[node], node)
+        for role, value, child in outgoing[node]:
+            emit(role, node)
+            if child is None:
+                for piece in value.split():
+                    emit(piece, node)
+            elif child in visited:
+                emit(g.nodes[child], child)
+            else:
+                walk(child)
+        emit(")", node)
+
+    walk(g.root)
+    lin = LinearizedAmr(tuple(tokens), tuple(depth_ids), tuple(subgraph_ids))
+    return lin if lang is None else prepend_language_token(lin, lang)
 
 
 def write_linearized(token_path, feature_path, examples: Iterable[LinearizedAmr]) -> None:
@@ -252,7 +173,6 @@ def read_linearized(token_path, feature_path) -> list[LinearizedAmr]:
         out.append(
             LinearizedAmr(
                 tokens=tokens,
-                alignment=(LANG_SENTINEL,) * len(tokens),
                 depth_ids=tuple(int(d) for d, _ in pairs),
                 subgraph_ids=tuple(int(s) for _, s in pairs),
                 language_token=lang,

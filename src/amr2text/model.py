@@ -2,11 +2,13 @@
 
 Encoder positions embed four ids each: word piece, position, node depth,
 and root-subtree index; the four embeddings are concatenated and projected
-to d_model.  The decoder is a standard pre-norm causal transformer whose
-input word embedding matrix is also the output projection (tied); passing
-``memory=None`` skips cross-attention entirely, which turns the decoder
-into a causal language model for pretraining.  Layers can be dropped whole
-during training (layerdrop).
+to d_model.  The depth and subtree tables have ``depth_buckets + 1`` and
+``subgraph_buckets + 1`` rows; larger ids share the last row.  The decoder
+is a standard pre-norm causal transformer whose input word embedding
+matrix is also the output projection (tied); passing ``memory=None`` skips
+cross-attention entirely, which turns the decoder into a causal language
+model for pretraining.  Layers can be dropped whole during training
+(layerdrop).
 """
 
 from __future__ import annotations
@@ -237,6 +239,15 @@ def _check_ids(name: str, ids: np.ndarray, table_rows: int) -> np.ndarray:
     return ids
 
 
+def _bucket(name: str, ids: np.ndarray, last: int) -> np.ndarray:
+    """Graph-feature ids clamped to the last row of their table: nodes deeper
+    (or subtrees later) than the table holds share that row."""
+    ids = np.asarray(ids)
+    if ids.size and ids.min() < 0:
+        raise IdOutOfRange(f"{name}: negative id {ids.min()}")
+    return np.minimum(ids, last)
+
+
 def _heads(params: ModelParams, prefix: str, w: str, x: Tensor) -> Tensor:
     """Project x (B, T, d_model) with weights ``w`` into heads (B, H, T, d_head)."""
     cfg = params.config
@@ -304,10 +315,8 @@ def encode(
     piece_ids = _check_ids("enc_word_emb", batch.piece_ids, cfg.enc_vocab)
     if piece_ids.size == 0 or piece_ids.shape[1] == 0:
         raise EmptyInput("encoder input has zero length")
-    depth_ids = _check_ids("enc_depth_emb", batch.depth_ids, cfg.depth_buckets + 1)
-    subgraph_ids = _check_ids(
-        "enc_subgraph_emb", batch.subgraph_ids, cfg.subgraph_buckets + 1
-    )
+    depth_ids = _bucket("enc_depth_emb", batch.depth_ids, cfg.depth_buckets)
+    subgraph_ids = _bucket("enc_subgraph_emb", batch.subgraph_ids, cfg.subgraph_buckets)
     n, t = piece_ids.shape
     if t > cfg.max_positions:
         raise IdOutOfRange(

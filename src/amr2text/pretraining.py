@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bpe import MASK, BpeModel, encode
-from .corpus import ParallelExample, pack_sequences
+from .corpus import ParallelExample, encode_linearized, pack_sequences
 from .langs import is_lang_token
 from .linearize import LinearizedAmr
 from .model import ModelParams, build, decoder_forward
@@ -248,26 +248,13 @@ def noised_examples(
                 depth_ids=lin.depth_ids,
                 subgraph_ids=lin.subgraph_ids,
             )
-            src_ids: list[int] = []
-            src_d: list[int] = []
-            src_s: list[int] = []
-            for tok, d, s in zip(tokens, depths, subs):
-                for pid in encode(enc_model, tok):
-                    src_ids.append(pid)
-                    src_d.append(d)
-                    src_s.append(s)
+            noised = LinearizedAmr(tuple(tokens), tuple(depths), tuple(subs))
             tgt_ids = [enc_model.bos_id]
             for tok in lin.tokens:
                 tgt_ids.extend(encode(enc_model, tok))
             tgt_ids.append(enc_model.eos_id)
             examples.append(
-                ParallelExample(
-                    src_ids=tuple(src_ids),
-                    src_depth_ids=tuple(src_d),
-                    src_subgraph_ids=tuple(src_s),
-                    tgt_ids=tuple(tgt_ids),
-                    language="en",
-                )
+                ParallelExample(*encode_linearized(noised, enc_model), tuple(tgt_ids), "en")
             )
     return examples
 

@@ -102,6 +102,43 @@ def oracle_subgraph(g: AmrGraph) -> dict[str, int]:
     return out
 
 
+def oracle_alignment(g: AmrGraph) -> tuple[list[str], list[str]]:
+    """Linearization tokens and the node governing each one.
+
+    DFS pre-order: "(" and the concept at node entry, then per outgoing item
+    the role and the child (a subtree on first visit, the bare concept on a
+    re-entrant mention, the literal's words for an attribute), ")" at exit.
+    Parens and concepts belong to their node, a re-entrant mention to the
+    node it names, roles and literal words to the source node.
+    """
+    outgoing = g.outgoing()
+    tokens: list[str] = []
+    alignment: list[str] = []
+    visited: set[str] = set()
+
+    def walk(node: str) -> None:
+        visited.add(node)
+        tokens.extend(["(", g.nodes[node]])
+        alignment.extend([node, node])
+        for role, value, child in outgoing[node]:
+            tokens.append(role)
+            alignment.append(node)
+            if child is None:
+                words = value.split()
+                tokens.extend(words)
+                alignment.extend([node] * len(words))
+            elif child in visited:
+                tokens.append(g.nodes[child])
+                alignment.append(child)
+            else:
+                walk(child)
+        tokens.append(")")
+        alignment.append(node)
+
+    walk(g.root)
+    return tokens, alignment
+
+
 def bleu_precision_counts(
     hyp_tokens: list[str], ref_tokens: list[str], n: int
 ) -> tuple[int, int]:

@@ -32,7 +32,7 @@ from amr2text.evaluation import (
 )
 from amr2text.generation import BeamConfig, beam_search, greedy, attention_dump, read_attention_dump
 from amr2text.graph import parse_penman, serialize_penman
-from amr2text.linearize import compute_node_features, linearize, prepend_language_token, linearize_for_language
+from amr2text.linearize import compute_node_features, prepend_language_token, linearize_for_language
 from amr2text.model import (
     DecoderState,
     EncoderInput,
@@ -248,7 +248,7 @@ def bilingual_overfit():
     """
     pairs = toy_pairs(32, seed=0)
     langset = frozenset(LANGS)
-    lin_lines = [" ".join(linearize(parse_penman(p.amr)).tokens) for p in pairs]
+    lin_lines = [" ".join(linearize_for_language(parse_penman(p.amr)).tokens) for p in pairs]
     enc_bpe = train_bpe(lin_lines, 120, languages=langset, protect_roles=True)
     refs = [p.texts[lang] for lang in LANGS for p in pairs]
     dec_bpe = train_bpe(refs, 120, languages=langset)
@@ -428,7 +428,7 @@ def test_c08_noise_statistics():
     coverage = covered / 100000
     # segment shuffle uniformity: 3 sibling segments, 6 permutations
     amr = "(r / resemble-01 :ARG0 (a / aardvark) :ARG1 (b / badger) :ARG2 (c / cat))"
-    tokens = linearize(parse_penman(amr)).tokens
+    tokens = linearize_for_language(parse_penman(amr)).tokens
     spec = NoiseSpec(mask_prob=0.0, span_mass=0.0, shuffle=True, seed=2)
     counts: dict[tuple, int] = {}
     for k in range(600):
@@ -441,7 +441,7 @@ def test_c08_noise_statistics():
     p_value = float(chi2.sf(stat, df=5))
     # balance: parentheses stay matched through the full noising stack
     rng = np.random.default_rng(23)
-    lins = [linearize(oracles.random_graph(rng)) for _ in range(200)]
+    lins = [linearize_for_language(oracles.random_graph(rng)) for _ in range(200)]
     spec = NoiseSpec(mask_prob=0.15, span_mass=0.3, shuffle=True, seed=3)
     balanced = 0
     for lin in lins:

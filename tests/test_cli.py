@@ -14,7 +14,7 @@ import pytest
 from amr2text import cli
 from amr2text.bpe import decode as bpe_decode
 from amr2text.bpe import load_bpe
-from amr2text.corpus import encode_linearized
+from amr2text.corpus import encode_linearized, load_examples
 from amr2text.generation import BeamConfig, beam_search, read_attention_dump
 from amr2text.linearize import read_linearized
 from amr2text.model import EncoderInput, load_checkpoint
@@ -441,6 +441,18 @@ def test_max_len_beyond_positions_exits_2_before_decoding(quickstart, command, m
             "--max-len", "41", "--out-dir", str(out)]
     assert run(*argv) == 2
     assert not out.exists()
+
+
+def test_train_buckets_features_past_the_last_row(quickstart):
+    """Toy graphs reach depth 2; one depth bucket (rows 0 and 1) must still train."""
+    w = quickstart["w"]
+    assert max(max(ex.src_depth_ids) for ex in load_examples(w / "corpus" / "train.examples")) == 2
+    out = w / "one-depth-bucket"
+    assert run("train", "--corpus", str(w / "corpus"), "--enc-bpe", quickstart["enc_bpe"],
+               "--dec-bpe", quickstart["dec_bpe"], "--seed", "1", "--config", str(w / "train.cfg"),
+               "--set", "train.max_updates=2", "--set", "model.depth_buckets=1",
+               "--out-dir", str(out)) == 0
+    assert load_checkpoint(out / "best.ckpt").config.depth_buckets == 1
 
 
 @pytest.mark.parametrize("command", ["pretrain-encoder", "pretrain-decoder"])

@@ -2,35 +2,52 @@
 
 The worked example (want-01) is checked token by token against values
 derived by hand; random graphs are checked against the brute-force
-BFS/DFS oracles in oracles.py.
+BFS/DFS oracles and the reference alignment walk in oracles.py.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from amr2text.graph import AmrGraph, parse_penman
+from amr2text import linearize
+from amr2text.graph import AmrGraph, InvalidGraph, parse_penman
 from amr2text.linearize import (
-    LANG_SENTINEL,
-    MAX_DEPTH_BUCKET,
-    MAX_SUBGRAPH_BUCKET,
     AlreadyHasLanguageToken,
     LinearizedAmr,
-    attach_features,
     compute_node_features,
-    linearize,
     linearize_for_language,
     prepend_language_token,
     read_linearized,
-    simplify,
     write_linearized,
 )
+from amr2text.model import EncoderInput, ModelConfig, build, encode
 
 WANT = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))"
 
+# Feature tables far smaller than the graphs below, so bucketing shows.
+SMALL_TABLES = ModelConfig(
+    enc_vocab=4, dec_vocab=4, d_model=8, n_heads=2, ffn_dim=8, enc_layers=1,
+    dec_layers=1, dropout=0.0, max_positions=64, depth_buckets=8, subgraph_buckets=8,
+    d_word=4, d_pos=4, d_depth=4, d_subgraph=4,
+)
+
+
+def _memory(depth_ids, subgraph_ids) -> np.ndarray:
+    n = len(depth_ids)
+    enc_in = EncoderInput(np.zeros(n, dtype=np.int64), np.asarray(depth_ids),
+                          np.asarray(subgraph_ids))
+    memory, _ = encode(build(SMALL_TABLES, seed=0), enc_in)
+    return memory.data
+
+
+def _via_files(tmp_path, lin: LinearizedAmr) -> LinearizedAmr:
+    tpath, fpath = tmp_path / "g.lin", tmp_path / "g.lin.feat"
+    write_linearized(tpath, fpath, [lin])
+    return read_linearized(tpath, fpath)[0]
+
 
 def test_linearize_want_example_tokens():
-    lin = linearize(simplify(parse_penman(WANT)))
+    lin = linearize_for_language(parse_penman(WANT))
     assert list(lin.tokens) == [
         "(", "want-01", ":ARG0", "(", "boy", ")",
         ":ARG1", "(", "go-02", ":ARG0", "boy", ")", ")",
@@ -38,55 +55,45 @@ def test_linearize_want_example_tokens():
 
 
 def test_want_example_features():
-    g = simplify(parse_penman(WANT))
-    lin = attach_features(linearize(g), compute_node_features(g))
+    lin = linearize_for_language(parse_penman(WANT))
     assert list(lin.depth_ids) == [0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0]
     assert list(lin.subgraph_ids) == [0, 0, 0, 1, 1, 1, 0, 2, 2, 2, 1, 2, 0]
 
 
 def test_reentrant_mention_aligned_to_target_node():
-    g = simplify(parse_penman(WANT))
-    lin = linearize(g)
-    # second "boy" token comes from the re-entrant edge and belongs to the
-    # boy node, not to go-02
+    lin = linearize_for_language(parse_penman(WANT))
+    # second "boy" token comes from the re-entrant edge and carries the boy
+    # node's features (subtree 1), not go-02's (subtree 2)
     idx = len(lin.tokens) - 1 - list(reversed(lin.tokens)).index("boy")
-    assert lin.alignment[idx] == lin.alignment[4]
+    go = lin.tokens.index("go-02")
+    assert (lin.depth_ids[idx], lin.subgraph_ids[idx]) == (lin.depth_ids[4], lin.subgraph_ids[4])
+    assert lin.subgraph_ids[idx] != lin.subgraph_ids[go]
 
 
-def test_simplify_renames_and_preserves_topology():
-    g = parse_penman("(w / want-01 :polarity - :ARG0 (b / boy))")
-    s = simplify(g)
-    assert s.root == "n0"
-    assert set(s.nodes) == {"n0", "n1"}
-    assert s.nodes["n0"] == "want-01"
-    assert s.attributes == (("n0", ":polarity", "-"),)
-    # source-order interleaving survives the rename
-    assert [item[0] for item in s.outgoing()["n0"]] == [":polarity", ":ARG0"]
+def test_interleaved_items_linearize_in_source_order():
+    lin = linearize_for_language(parse_penman("(w / want-01 :polarity - :ARG0 (b / boy))"))
+    assert list(lin.tokens) == ["(", "want-01", ":polarity", "-", ":ARG0", "(", "boy", ")", ")"]
 
 
 def test_attributes_linearize_as_role_plus_literal():
-    g = simplify(parse_penman('(c / city :name (n / name :op1 "Zintan"))'))
-    lin = linearize(g)
+    lin = linearize_for_language(parse_penman('(c / city :name (n / name :op1 "Zintan"))'))
     assert '"Zintan"' in lin.tokens
     i = lin.tokens.index('"Zintan"')
     assert lin.tokens[i - 1] == ":op1"
 
 
 def test_multiword_literal_splits_with_replicated_features():
-    g = simplify(parse_penman('(c / city :name (n / name :op1 "New York"))'))
-    lin = attach_features(linearize(g), compute_node_features(g))
+    lin = linearize_for_language(parse_penman('(c / city :name (n / name :op1 "New York"))'))
     i = lin.tokens.index('"New')
     assert lin.tokens[i + 1] == 'York"'
-    assert lin.alignment[i] == lin.alignment[i + 1]
-    assert lin.depth_ids[i] == lin.depth_ids[i + 1]
-    assert lin.subgraph_ids[i] == lin.subgraph_ids[i + 1]
+    assert lin.depth_ids[i] == lin.depth_ids[i + 1] == lin.depth_ids[i - 1]
+    assert lin.subgraph_ids[i] == lin.subgraph_ids[i + 1] == lin.subgraph_ids[i - 1]
 
 
 def test_parens_balanced_on_random_graphs():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        g = oracles.random_graph(rng)
-        lin = linearize(simplify(g))
+        lin = linearize_for_language(oracles.random_graph(rng))
         depth = 0
         for tok in lin.tokens:
             depth += {"(": 1, ")": -1}.get(tok, 0)
@@ -103,26 +110,53 @@ def test_features_match_oracle_on_random_graphs():
         assert nf.subgraph == oracles.oracle_subgraph(g)
 
 
-def test_depth_bucket_clamps():
-    # a chain deeper than the bucket count
-    n = MAX_DEPTH_BUCKET + 5
+def test_token_features_follow_oracle_alignment():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        g = oracles.random_graph(rng)
+        tokens, alignment = oracles.oracle_alignment(g)
+        depth, subgraph = oracles.oracle_depth(g), oracles.oracle_subgraph(g)
+        lin = linearize_for_language(g)
+        assert list(lin.tokens) == tokens
+        assert list(lin.depth_ids) == [depth[v] for v in alignment]
+        assert list(lin.subgraph_ids) == [subgraph[v] for v in alignment]
+
+
+def test_each_graph_validated_once(monkeypatch):
+    calls = []
+    real = linearize.validate
+    monkeypatch.setattr(linearize, "validate", lambda g: calls.append(g) or real(g))
+    g = parse_penman(WANT)
+    linearize_for_language(g, "en")
+    assert calls == [g]
+    broken = AmrGraph(root="w", nodes={"w": "want-01"}, edges=(("w", ":ARG0", "b"),))
+    with pytest.raises(InvalidGraph):
+        linearize_for_language(broken)
+
+
+def test_depth_bucket_clamps(tmp_path):
+    # a chain deeper than the model's depth table
+    n = SMALL_TABLES.depth_buckets + 5
     parts = ["(v0 / c0"]
     for i in range(1, n):
         parts.append(f":ARG0 (v{i} / c{i}")
-    text = " ".join(parts) + ")" * n
-    g = simplify(parse_penman(text))
-    lin = attach_features(linearize(g), compute_node_features(g))
-    assert max(lin.depth_ids) == MAX_DEPTH_BUCKET
-    nf = compute_node_features(g)
-    assert max(nf.depth.values()) == n - 1  # raw value unclamped
+    lin = _via_files(tmp_path, linearize_for_language(parse_penman(" ".join(parts) + ")" * n)))
+    assert max(lin.depth_ids) == n - 1  # raw depth in the file
+    clamped = np.minimum(lin.depth_ids, SMALL_TABLES.depth_buckets)
+    np.testing.assert_array_equal(
+        _memory(lin.depth_ids, lin.subgraph_ids), _memory(clamped, lin.subgraph_ids)
+    )
 
 
-def test_subgraph_bucket_clamps():
-    n = MAX_SUBGRAPH_BUCKET + 3
+def test_subgraph_bucket_clamps(tmp_path):
+    n = SMALL_TABLES.subgraph_buckets + 3
     kids = " ".join(f":op{i} (k{i} / c{i})" for i in range(n))
-    g = simplify(parse_penman(f"(r / root {kids})"))
-    lin = attach_features(linearize(g), compute_node_features(g))
-    assert max(lin.subgraph_ids) == MAX_SUBGRAPH_BUCKET
+    lin = _via_files(tmp_path, linearize_for_language(parse_penman(f"(r / root {kids})")))
+    assert max(lin.subgraph_ids) == n  # raw subtree index in the file
+    clamped = np.minimum(lin.subgraph_ids, SMALL_TABLES.subgraph_buckets)
+    np.testing.assert_array_equal(
+        _memory(lin.depth_ids, lin.subgraph_ids), _memory(lin.depth_ids, clamped)
+    )
 
 
 def test_language_token_prepended_with_zero_features():
@@ -130,9 +164,11 @@ def test_language_token_prepended_with_zero_features():
     lin = linearize_for_language(g, "de")
     assert lin.tokens[0] == "<lang:de>"
     assert lin.language_token == "<lang:de>"
-    assert lin.alignment[0] == LANG_SENTINEL
     assert lin.depth_ids[0] == 0 and lin.subgraph_ids[0] == 0
-    assert list(lin.tokens[1:]) == list(linearize_for_language(g).tokens)
+    plain = linearize_for_language(g)
+    assert (lin.tokens[1:], lin.depth_ids[1:], lin.subgraph_ids[1:]) == (
+        plain.tokens, plain.depth_ids, plain.subgraph_ids
+    )
 
 
 def test_double_language_token_rejected():
@@ -165,4 +201,4 @@ def test_write_read_round_trip(tmp_path):
 
 def test_feature_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        LinearizedAmr(tokens=("(", "x", ")"), alignment=("a", "a"))
+        LinearizedAmr(tokens=("(", "x", ")"), depth_ids=(0, 0), subgraph_ids=(0, 0, 0))

@@ -197,8 +197,14 @@ def test_decode_step_requires_bos(params):
 def test_id_range_and_length_errors(params):
     with pytest.raises(IdOutOfRange):
         encode(params, enc_in([[99]]))
+    # Depth and subtree ids past the last bucket are deep nodes, not bad input.
+    deep, _ = encode(params, enc_in([[1, 2]], depth=[[50, 3]], sub=[[4, 70]]))
+    last, _ = encode(params, enc_in([[1, 2]], depth=[[8, 3]], sub=[[4, 8]]))
+    np.testing.assert_array_equal(deep.data, last.data)
     with pytest.raises(IdOutOfRange):
-        encode(params, enc_in([[1]], depth=[[50]]))
+        encode(params, enc_in([[1]], depth=[[-1]]))
+    with pytest.raises(IdOutOfRange):
+        encode(params, enc_in([[1]], sub=[[-1]]))
     with pytest.raises(EmptyInput):
         encode(params, enc_in(np.zeros((1, 0), dtype=int)))
     with pytest.raises(IdOutOfRange):
