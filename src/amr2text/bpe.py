@@ -227,14 +227,7 @@ def encode(m: BpeModel, text: str) -> list[int]:
         if token in m.specials or token in m.protected:
             token_ids: tuple[int, ...] = (m.vocab[token],)
         else:
-            whole = m.vocab.get(WORD_BOUNDARY + token)
-            if whole is not None and not m.merges:
-                # Vocab-only external model: whole-word lookup.
-                token_ids = (whole,)
-            else:
-                token_ids = tuple(
-                    m.vocab.get(sym, m.unk_id) for sym in _segment(m, token)
-                )
+            token_ids = tuple(m.vocab.get(sym, m.unk_id) for sym in _segment(m, token))
         m._cache[token] = token_ids
         ids.extend(token_ids)
     return ids
@@ -272,10 +265,8 @@ def save_bpe(m: BpeModel, path) -> None:
                 f.write(piece + "\n")
 
 
-def _parse_model_file(
-    path,
-) -> tuple[tuple[tuple[str, str], ...], dict[str, int], frozenset[str]]:
-    """Shared reader for the documented merge+vocab text format."""
+def load_bpe(path) -> BpeModel:
+    """Load a file written by save_bpe; vocabulary ids are taken verbatim."""
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith("bpe v1 "):
@@ -320,36 +311,11 @@ def _parse_model_file(
             raise MalformedVocabFile(f"bad id {id_text!r}", lineno) from None
     if sorted(vocab.values()) != list(range(len(vocab))):
         raise MalformedVocabFile("vocabulary ids are not dense 0-based", len(lines))
-    return tuple(merges), vocab, frozenset(protected)
-
-
-def load_bpe(path) -> BpeModel:
-    """Load a file written by save_bpe; vocabulary ids are taken verbatim."""
-    merges, vocab, protected = _parse_model_file(path)
     known_specials = set(special_tokens())
     specials_map = {tok: vocab[tok] for tok in vocab if tok in known_specials}
     missing = [tok for tok in CORE_SPECIALS if tok not in specials_map]
     if missing:
         raise MalformedVocabFile(f"missing special tokens {missing}", 1)
-    return BpeModel(merges=merges, vocab=vocab, specials=specials_map, protected=protected)
-
-
-def load_external_vocab(path, languages: frozenset[str] = DEFAULT_LANGUAGES) -> BpeModel:
-    """Load a merge+vocab file that lacks specials, adding them in front.
-
-    File ids must be dense and 0-based; loaded pieces are shifted past the
-    reserved specials.  A file whose header declares zero merges yields a
-    whole-word lookup model.
-    """
-    merges, file_vocab, protected = _parse_model_file(path)
-    specials = special_tokens(languages)
-    special_set = set(specials)
-    for piece in file_vocab:
-        if piece in special_set:
-            raise MalformedVocabFile(f"piece {piece!r} collides with a special", 1)
-    vocab = {tok: i for i, tok in enumerate(specials)}
-    offset = len(vocab)
-    for piece, idx in file_vocab.items():
-        vocab[piece] = offset + idx
-    specials_map = {tok: vocab[tok] for tok in specials}
-    return BpeModel(merges=merges, vocab=vocab, specials=specials_map, protected=protected)
+    return BpeModel(
+        merges=tuple(merges), vocab=vocab, specials=specials_map, protected=frozenset(protected)
+    )

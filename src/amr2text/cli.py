@@ -74,12 +74,12 @@ def _bool(raw: str) -> bool:
 
 
 # Config keys are "<section>.<field>" for each field of these dataclasses,
-# except the fields the CLI sets itself: seeds, vocabulary sizes, Adam's
-# constants, and the model's rates, which training takes from train.*.
+# except the fields the CLI sets itself: seeds, vocabulary sizes and Adam's
+# constants.
 SECTIONS = {"train": TrainConfig, "model": ModelConfig, "beam": BeamConfig, "noise": NoiseSpec}
 _CLI_SET = {
     "train.seed", "train.adam_betas", "train.adam_eps", "noise.seed",
-    "model.enc_vocab", "model.dec_vocab", "model.dropout", "model.layerdrop",
+    "model.enc_vocab", "model.dec_vocab",
 }
 _ALIASES = {"beam.beam_size": "beam.size", "beam.length_penalty_alpha": "beam.alpha"}
 CHOICES = {"train.preset": ("fresh", "pretrained"), "corpus.split_mode": ("common-test", "derive")}
@@ -217,9 +217,12 @@ def _lang_file_map(items: list[str], flag: str) -> dict[str, str]:
 
 
 def _load_lin_inputs(input_path: str, features_path: str | None) -> list[LinearizedAmr]:
-    feat = features_path or input_path + ".feat"
-    if os.path.exists(feat):
-        return read_linearized(input_path, feat)
+    """Tokens with features from ``features_path``, else from INPUT.feat if
+    present, else with all-zero features.  A missing explicit path is an error."""
+    if features_path is None and os.path.exists(input_path + ".feat"):
+        features_path = input_path + ".feat"
+    if features_path is not None:
+        return read_linearized(input_path, features_path)
     out = []
     for line in _read_lines(input_path):
         tokens = tuple(line.split())

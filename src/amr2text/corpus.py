@@ -349,14 +349,6 @@ def make_batches(
     return batches
 
 
-def language_histogram(batches: list[Batch]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for batch in batches:
-        for lang in batch.languages:
-            counts[lang] = counts.get(lang, 0) + 1
-    return counts
-
-
 def pack_sequences(
     sequences: list[tuple[int, ...]], max_tokens: int, shuffle_seed: int, pad_id: int
 ) -> list[tuple[np.ndarray, tuple[int, ...]]]:

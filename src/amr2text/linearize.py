@@ -38,7 +38,6 @@ class LinearizedAmr:
     tokens: tuple[str, ...]
     depth_ids: tuple[int, ...]
     subgraph_ids: tuple[int, ...]
-    language_token: str | None = None
 
     def __post_init__(self):
         if not (len(self.tokens) == len(self.depth_ids) == len(self.subgraph_ids)):
@@ -90,14 +89,13 @@ def compute_node_features(g: AmrGraph) -> NodeFeatures:
 def prepend_language_token(lin: LinearizedAmr, lang: str) -> LinearizedAmr:
     """Prefix the target-language token; it carries zero feature ids."""
     check_language(lang)
-    if lin.language_token is not None or (lin.tokens and is_lang_token(lin.tokens[0])):
+    if lin.tokens and is_lang_token(lin.tokens[0]):
         raise AlreadyHasLanguageToken(lin.tokens[0])
     token = lang_token(lang)
     return LinearizedAmr(
         tokens=(token,) + lin.tokens,
         depth_ids=(0,) + lin.depth_ids,
         subgraph_ids=(0,) + lin.subgraph_ids,
-        language_token=token,
     )
 
 
@@ -169,13 +167,11 @@ def read_linearized(token_path, feature_path) -> list[LinearizedAmr]:
         pairs = [p.split(":") for p in fline.split()]
         if len(pairs) != len(tokens):
             raise ValueError("feature line does not match token line length")
-        lang = tokens[0] if tokens and is_lang_token(tokens[0]) else None
         out.append(
             LinearizedAmr(
                 tokens=tokens,
                 depth_ids=tuple(int(d) for d, _ in pairs),
                 subgraph_ids=tuple(int(s) for _, s in pairs),
-                language_token=lang,
             )
         )
     return out

@@ -22,7 +22,7 @@ from . import tensor as T
 from .tensor import Rng, Tensor
 
 NEG_INF = -1e9
-CHECKPOINT_MAGIC = "amr2text-checkpoint v1"
+CHECKPOINT_MAGIC = "amr2text-checkpoint v2"
 
 
 class InvalidConfig(ValueError):
@@ -62,8 +62,6 @@ class ModelConfig:
     ffn_dim: int = 1024
     enc_layers: int = 3
     dec_layers: int = 3
-    dropout: float = 0.1
-    layerdrop: float = 0.0
     max_positions: int = 256
     depth_buckets: int = 32
     subgraph_buckets: int = 64
@@ -86,10 +84,6 @@ class ModelConfig:
             raise InvalidConfig(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if not 0.0 <= self.dropout < 1.0:
-            raise InvalidConfig(f"dropout {self.dropout} outside [0, 1)")
-        if not 0.0 <= self.layerdrop < 1.0:
-            raise InvalidConfig(f"layerdrop {self.layerdrop} outside [0, 1)")
 
     @property
     def enc_in_width(self) -> int:
@@ -211,6 +205,27 @@ def layerdrop_mask(p: float, gen: np.random.Generator, n_layers: int) -> np.ndar
 
 
 @dataclass(frozen=True)
+class Dropout:
+    """Training-mode regularization for one update: the dropout and
+    layerdrop rates, and the random streams of update ``step``.  A forward
+    pass given None runs in eval mode."""
+
+    rate: float
+    layerdrop: float
+    rng: Rng
+    step: int
+
+    def stream(self, *tags) -> np.random.Generator:
+        return self.rng.stream(*tags, self.step)
+
+
+def _kept_layers(drop: Dropout | None, stack: str, n_layers: int) -> np.ndarray:
+    if drop is None:
+        return np.ones(n_layers, dtype=bool)
+    return layerdrop_mask(drop.layerdrop, drop.stream("layerdrop", stack), n_layers)
+
+
+@dataclass(frozen=True)
 class EncoderInput:
     """Encoder-side id rows; 1-D for one example or 2-D padded batches."""
 
@@ -263,7 +278,7 @@ def _attend(
     k: Tensor,
     v: Tensor,
     mask: np.ndarray | None,
-    training: bool,
+    rate: float,
     gen: np.random.Generator | None,
 ):
     """Scaled dot-product attention over projected heads, then the output projection.
@@ -271,15 +286,12 @@ def _attend(
     Returns the output (B, Tq, d_model) and the softmax weights
     (B, H, Tq, Tk) before attention dropout, for inspection dumps.
     """
-    cfg = params.config
     b, h, tq, dh = q.shape
     scores = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / np.sqrt(dh))
     if mask is not None:
         scores = T.add(scores, mask.astype(scores.data.dtype))
     weights = T.softmax(scores, axis=-1)
-    attended = weights
-    if training and cfg.dropout > 0.0 and gen is not None:
-        attended = T.dropout(weights, cfg.dropout, gen, training)
+    attended = T.dropout(weights, rate, gen) if rate > 0.0 else weights
     ctx = T.reshape(T.swapaxes(T.matmul(attended, v), 1, 2), (b, tq, h * dh))
     out = T.add(T.matmul(ctx, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
     return out, weights
@@ -294,22 +306,19 @@ def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return T.layernorm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
 
 
-def _residual_dropout(
-    x: Tensor, cfg: ModelConfig, training: bool, gen: np.random.Generator | None
-) -> Tensor:
-    if training and cfg.dropout > 0.0 and gen is not None:
-        return T.dropout(x, cfg.dropout, gen, training)
-    return x
+def _residual_dropout(x: Tensor, rate: float, gen: np.random.Generator | None) -> Tensor:
+    return T.dropout(x, rate, gen) if rate > 0.0 else x
 
 
 def encode(
     params: ModelParams,
     enc_input: EncoderInput,
-    training: bool = False,
-    rng: Rng | None = None,
-    step: int = 0,
+    drop: Dropout | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """Run the encoder stack; returns (memory (B,T,d_model), pad_mask (B,T))."""
+    """Run the encoder stack; returns (memory (B,T,d_model), pad_mask (B,T)).
+
+    ``drop`` applies training-mode dropout and layerdrop; None is eval mode.
+    """
     cfg = params.config
     batch = enc_input.batched()
     piece_ids = _check_ids("enc_word_emb", batch.piece_ids, cfg.enc_vocab)
@@ -335,25 +344,22 @@ def encode(
     if cfg.d_subgraph > 0:
         parts.append(T.embed(params["enc_subgraph_emb"], subgraph_ids))
     x = T.add(T.matmul(T.concat_last_dim(parts), params["enc_in_proj"]), params["enc_in_bias"])
-    x = _residual_dropout(x, cfg, training, rng.stream("drop", "enc_in", step) if rng else None)
+    rate = drop.rate if drop else 0.0
+    x = _residual_dropout(x, rate, drop.stream("drop", "enc_in") if drop else None)
 
     attn_mask = np.where(pad_mask[:, None, None, :], 0.0, NEG_INF)
-    keep = (
-        layerdrop_mask(cfg.layerdrop, rng.stream("layerdrop", "enc", step), cfg.enc_layers)
-        if training and rng is not None
-        else np.ones(cfg.enc_layers, dtype=bool)
-    )
+    keep = _kept_layers(drop, "enc", cfg.enc_layers)
     for i in range(cfg.enc_layers):
         if not keep[i]:
             continue
-        gen = rng.stream("drop", "enc", i, step) if rng else None
+        gen = drop.stream("drop", "enc", i) if drop else None
         prefix = f"enc.{i}.attn"
         normed = _ln(params, f"enc.{i}.ln1", x)
         q, k, v = (_heads(params, prefix, w, normed) for w in "qkv")
-        attn_out, _ = _attend(params, prefix, q, k, v, attn_mask, training, gen)
-        x = T.add(x, _residual_dropout(attn_out, cfg, training, gen))
+        attn_out, _ = _attend(params, prefix, q, k, v, attn_mask, rate, gen)
+        x = T.add(x, _residual_dropout(attn_out, rate, gen))
         ffn_out = _ffn(params, f"enc.{i}.ffn", _ln(params, f"enc.{i}.ln2", x))
-        x = T.add(x, _residual_dropout(ffn_out, cfg, training, gen))
+        x = T.add(x, _residual_dropout(ffn_out, rate, gen))
     return _ln(params, "enc_final_ln", x), pad_mask
 
 
@@ -389,9 +395,7 @@ def _decoder_layers(
     kv,
     self_mask: np.ndarray | None,
     cross_mask: np.ndarray | None,
-    training: bool = False,
-    rng: Rng | None = None,
-    step: int = 0,
+    drop: Dropout | None = None,
     collect_attention: bool = False,
 ) -> tuple[Tensor, list[np.ndarray]]:
     """The decoder stack from its projected input x to logits.
@@ -402,33 +406,30 @@ def _decoder_layers(
     projected encoder memory, or None in LM mode.
     """
     cfg = params.config
-    x = _residual_dropout(x, cfg, training, rng.stream("drop", "dec_in", step) if rng else None)
-    keep = (
-        layerdrop_mask(cfg.layerdrop, rng.stream("layerdrop", "dec", step), cfg.dec_layers)
-        if training and rng is not None
-        else np.ones(cfg.dec_layers, dtype=bool)
-    )
+    rate = drop.rate if drop else 0.0
+    x = _residual_dropout(x, rate, drop.stream("drop", "dec_in") if drop else None)
+    keep = _kept_layers(drop, "dec", cfg.dec_layers)
     cross_weights: list[np.ndarray] = []
     for i in range(cfg.dec_layers):
         if not keep[i]:
             continue
-        gen = rng.stream("drop", "dec", i, step) if rng else None
+        gen = drop.stream("drop", "dec", i) if drop else None
         prefix = f"dec.{i}.self_attn"
         normed = _ln(params, f"dec.{i}.ln1", x)
         q, k, v = (_heads(params, prefix, w, normed) for w in "qkv")
         k, v = kv.self_kv(i, k, v)
-        self_out, _ = _attend(params, prefix, q, k, v, self_mask, training, gen)
-        x = T.add(x, _residual_dropout(self_out, cfg, training, gen))
+        self_out, _ = _attend(params, prefix, q, k, v, self_mask, rate, gen)
+        x = T.add(x, _residual_dropout(self_out, rate, gen))
         cross = kv.cross_kv(i)
         if cross is not None:
             prefix = f"dec.{i}.cross_attn"
             q = _heads(params, prefix, "q", _ln(params, f"dec.{i}.ln2", x))
-            cross_out, weights = _attend(params, prefix, q, *cross, cross_mask, training, gen)
-            x = T.add(x, _residual_dropout(cross_out, cfg, training, gen))
+            cross_out, weights = _attend(params, prefix, q, *cross, cross_mask, rate, gen)
+            x = T.add(x, _residual_dropout(cross_out, rate, gen))
             if collect_attention:
                 cross_weights.append(weights.data.copy())
         ffn_out = _ffn(params, f"dec.{i}.ffn", _ln(params, f"dec.{i}.ln3", x))
-        x = T.add(x, _residual_dropout(ffn_out, cfg, training, gen))
+        x = T.add(x, _residual_dropout(ffn_out, rate, gen))
     x = _ln(params, "dec_final_ln", x)
     hidden = T.add(T.matmul(x, params["dec_out_proj"]), params["dec_out_bias"])
     logits = T.matmul(hidden, T.swapaxes(params["dec_word_emb"], 0, 1))
@@ -444,15 +445,14 @@ def decoder_forward(
     memory: Tensor | None,
     memory_mask: np.ndarray | None,
     prefix_ids: np.ndarray,
-    training: bool = False,
-    rng: Rng | None = None,
-    step: int = 0,
+    drop: Dropout | None = None,
     collect_attention: bool = False,
 ) -> tuple[Tensor, list[np.ndarray]]:
     """Causal decoder over the whole prefix; memory=None runs LM mode.
 
-    Returns logits (B, T, dec_vocab) and, when requested, each layer's
-    cross-attention weights (B, H, T, S) as plain arrays.
+    ``drop`` applies training-mode dropout and layerdrop; None is eval
+    mode.  Returns logits (B, T, dec_vocab) and, when requested, each
+    layer's cross-attention weights (B, H, T, S) as plain arrays.
     """
     cfg = params.config
     prefix_ids = np.asarray(prefix_ids)
@@ -470,8 +470,7 @@ def decoder_forward(
     causal = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, NEG_INF)[None, None]
     cross_mask = None if memory is None or memory_mask is None else _memory_mask(memory_mask)
     return _decoder_layers(
-        params, x, _PrefixKV(params, memory), causal, cross_mask,
-        training, rng, step, collect_attention,
+        params, x, _PrefixKV(params, memory), causal, cross_mask, drop, collect_attention
     )
 
 
@@ -661,15 +660,15 @@ def check_arrays(arrays: dict[str, np.ndarray], schema) -> None:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """The model's config as the header, then its tensors in name order."""
+    """The model's architecture (its config fields) as the header, then its
+    tensors in name order."""
     header = {f.name: getattr(params.config, f.name) for f in fields(ModelConfig)}
     write_arrays(path, header, ((name, t.data) for name, t in params.named()))
 
 
 def load_checkpoint(path) -> ModelParams:
     header, arrays = read_arrays(path)
-    types = {f.name: float if f.type == "float" else int for f in fields(ModelConfig)}
-    cfg = ModelConfig(**check_header(header, types))
+    cfg = ModelConfig(**check_header(header, {f.name: int for f in fields(ModelConfig)}))
     try:
         cfg.validate()
     except InvalidConfig as err:

@@ -350,9 +350,9 @@ def pretrain_decoder(
     sequences = [ids for _, ids in tagged]
     pad_id = dec_model.pad_id
 
-    def lm_loss(p, packed, rng, step):
+    def lm_loss(p, packed, drop):
         arr, _ = packed
-        logits, _ = decoder_forward(p, None, None, arr[:, :-1], training=True, rng=rng, step=step)
+        logits, _ = decoder_forward(p, None, None, arr[:, :-1], drop)
         return label_smoothed_nll(logits, arr[:, 1:], cfg.label_smoothing, pad_id)
 
     result = run_updates(

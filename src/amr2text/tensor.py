@@ -321,9 +321,9 @@ def concat_last_dim(parts: list[Tensor]) -> Tensor:
     return _result(data, tuple(parts), backward)
 
 
-def dropout(x: Tensor, p: float, gen: np.random.Generator, training: bool) -> Tensor:
+def dropout(x: Tensor, p: float, gen: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability p, scale kept units by 1/(1-p)."""
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} outside [0, 1)")

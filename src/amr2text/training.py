@@ -16,6 +16,7 @@ import numpy as np
 
 from .corpus import Batch, ParallelExample, make_batches
 from .model import (
+    Dropout,
     EncoderInput,
     ModelParams,
     check_arrays,
@@ -143,22 +144,18 @@ def batch_loss(
     batch: Batch,
     pad_id: int,
     label_smoothing: float,
-    training: bool,
-    rng: Rng | None = None,
-    step: int = 0,
+    drop: Dropout | None = None,
 ) -> Tensor:
-    """Teacher-forced label-smoothed loss, averaged over non-pad targets."""
+    """Teacher-forced label-smoothed loss, averaged over non-pad targets;
+    ``drop`` as for ``encode``, None in eval mode."""
     enc_in = EncoderInput(
         piece_ids=batch.src,
         depth_ids=batch.src_depth,
         subgraph_ids=batch.src_subgraph,
         pad_mask=batch.src_pad_mask,
     )
-    memory, memory_mask = encode(params, enc_in, training=training, rng=rng, step=step)
-    logits, _ = decoder_forward(
-        params, memory, memory_mask, batch.tgt[:, :-1],
-        training=training, rng=rng, step=step,
-    )
+    memory, memory_mask = encode(params, enc_in, drop)
+    logits, _ = decoder_forward(params, memory, memory_mask, batch.tgt[:, :-1], drop)
     return label_smoothed_nll(logits, batch.tgt[:, 1:], label_smoothing, pad_id)
 
 
@@ -176,7 +173,7 @@ def dataset_loss(
             n = batch.n_target_tokens(pad_id)
             if n == 0:
                 continue
-            loss = batch_loss(params, batch, pad_id, label_smoothing, training=False)
+            loss = batch_loss(params, batch, pad_id, label_smoothing)
             total += loss.item() * n
             tokens += n
     if tokens == 0:
@@ -214,8 +211,11 @@ def run_updates(
     """The update loop every training phase runs on.
 
     ``epoch_batches(seed)`` returns one epoch's batches; epoch e uses
-    ``cfg.seed + e``.  ``loss_fn(params, batch, rng, step)`` returns the
-    training loss.  ``validate(params)``, if given, returns the validation
+    ``cfg.seed + e``.  ``loss_fn(params, batch, drop)`` returns the
+    training loss; ``drop`` is the update's ``model.Dropout``, carrying
+    ``cfg.dropout``, ``cfg.layerdrop`` and the random streams of that step.
+    The model's config holds no rates, so these are the only ones applied.
+    ``validate(params)``, if given, returns the validation
     loss at every checkpoint and picks the best snapshot; without it no
     snapshot is taken and the final parameters stand as the best.  Each
     log line is written to ``log_path`` as the step ends, before
@@ -223,7 +223,6 @@ def run_updates(
     file, a resumed run appends.
     """
     cfg.validate()
-    params = replace_config_rates(params, cfg)
     rng = Rng(cfg.seed)
     opt = optimizer or Adam(params.parameters(), cfg)
     log: list[tuple[int, float, float, float | None]] = []
@@ -250,7 +249,7 @@ def run_updates(
             batch = batches[step - 1 - epoch_start]
             for p in params.parameters():
                 p.zero_grad()
-            loss = loss_fn(params, batch, rng, step)
+            loss = loss_fn(params, batch, Dropout(cfg.dropout, cfg.layerdrop, rng, step))
             value = loss.item()
             if not np.isfinite(value):
                 raise DivergedLoss(
@@ -318,29 +317,13 @@ def train(
         params,
         cfg,
         lambda seed: make_batches(train_set, cfg.max_tokens_per_batch, seed, pad_id),
-        lambda p, batch, rng, step: batch_loss(
-            p, batch, pad_id, cfg.label_smoothing, training=True, rng=rng, step=step
-        ),
+        lambda p, batch, drop: batch_loss(p, batch, pad_id, cfg.label_smoothing, drop),
         validate=lambda p: dataset_loss(p, valid_batches, pad_id),
         on_checkpoint=on_checkpoint,
         log_path=log_path,
         start_step=start_step,
         optimizer=optimizer,
     )
-
-
-def replace_config_rates(params: ModelParams, cfg: TrainConfig) -> ModelParams:
-    """Propagate the training config's dropout/layerdrop into the model config."""
-    if (
-        params.config.dropout == cfg.dropout
-        and params.config.layerdrop == cfg.layerdrop
-    ):
-        return params
-    new = ModelParams(
-        config=replace(params.config, dropout=cfg.dropout, layerdrop=cfg.layerdrop)
-    )
-    new.tensors = params.tensors
-    return new
 
 
 def initialize_for_finetune(

@@ -163,7 +163,7 @@ def test_c03_bpe_identity_determinism_specials():
 
 _GC_CONFIG = ModelConfig(
     enc_vocab=25, dec_vocab=21, d_model=32, n_heads=4, ffn_dim=48,
-    enc_layers=2, dec_layers=2, dropout=0.0, layerdrop=0.0,
+    enc_layers=2, dec_layers=2,
     max_positions=16, depth_buckets=8, subgraph_buckets=8,
     d_word=12, d_pos=8, d_depth=6, d_subgraph=6,
 )
@@ -211,12 +211,12 @@ def test_c04_gradient_check_full_model():
             batch = _random_gc_batch(rng)
             for p in params.parameters():
                 p.zero_grad()
-            loss = batch_loss(params, batch, 0, 0.1, training=False)
+            loss = batch_loss(params, batch, 0, 0.1)
             loss.backward()
 
             def fd_loss():
                 with no_grad():
-                    return batch_loss(params, batch, 0, 0.1, training=False).item()
+                    return batch_loss(params, batch, 0, 0.1).item()
 
             checks = oracles.finite_difference_grads(
                 fd_loss, dict(params.named()), epsilon=1e-5,
@@ -257,9 +257,7 @@ def bilingual_overfit():
         for lang in LANGS
         for p in pairs
     ]
-    cfg_model = desk_config(
-        enc_bpe.vocab_size, dec_bpe.vocab_size, dropout=0.0, layerdrop=0.0
-    )
+    cfg_model = desk_config(enc_bpe.vocab_size, dec_bpe.vocab_size)
     params = build(cfg_model, seed=1)
     tc = TrainConfig(
         base_lr=0.002, warmup_steps=50, max_updates=600, label_smoothing=0.0,
@@ -355,7 +353,7 @@ def test_c06_language_token_controls_output(bilingual_overfit, tmp_path):
 def _toy_decoder(seed: int):
     cfg = ModelConfig(
         enc_vocab=9, dec_vocab=5, d_model=16, n_heads=2, ffn_dim=24,
-        enc_layers=1, dec_layers=1, dropout=0.0, max_positions=16,
+        enc_layers=1, dec_layers=1, max_positions=16,
         d_word=6, d_pos=4, d_depth=3, d_subgraph=3,
     )
     return build(cfg, seed=seed)
@@ -532,7 +530,7 @@ def test_c10_pretraining_reaches_threshold_first(tmp_path):
     cfg_model = ModelConfig(
         enc_vocab=enc_bpe.vocab_size, dec_vocab=dec_bpe.vocab_size,
         d_model=64, n_heads=2, ffn_dim=128, enc_layers=2, dec_layers=2,
-        dropout=0.0, layerdrop=0.0, max_positions=64,
+        max_positions=64,
         d_word=32, d_pos=16, d_depth=8, d_subgraph=8,
     )
     pretrained = build(cfg_model, seed=100)

@@ -15,7 +15,6 @@ from amr2text.bpe import (
     decode,
     encode,
     load_bpe,
-    load_external_vocab,
     save_bpe,
     special_tokens,
     train_bpe,
@@ -156,28 +155,6 @@ def test_load_rejects_malformed(tmp_path):
     p.write_text("bpe v1 0\n#vocab\n<pad> 0\n<s> 2\n", encoding="utf-8")
     with pytest.raises(MalformedVocabFile):
         load_bpe(p)
-
-
-def test_external_vocab_whole_word_lookup(tmp_path):
-    p = tmp_path / "ext.vocab"
-    p.write_text(
-        "bpe v1 0\n#vocab\n"
-        + "".join(f"{WORD_BOUNDARY}{w} {i}\n" for i, w in enumerate(["cat", "dog"])),
-        encoding="utf-8",
-    )
-    m = load_external_vocab(p, languages=frozenset({"en"}))
-    n_special = len(special_tokens(frozenset({"en"})))
-    assert m.vocab[WORD_BOUNDARY + "cat"] == n_special
-    assert encode(m, "cat dog") == [n_special, n_special + 1]
-    assert m.unk_id in encode(m, "bird")
-    assert decode(m, encode(m, "cat dog")) == "cat dog"
-
-
-def test_external_vocab_rejects_special_collision(tmp_path):
-    p = tmp_path / "ext.vocab"
-    p.write_text("bpe v1 0\n#vocab\n<pad> 0\n", encoding="utf-8")
-    with pytest.raises(MalformedVocabFile):
-        load_external_vocab(p)
 
 
 def test_piece_accessor_round_trips_ids():

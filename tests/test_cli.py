@@ -7,6 +7,7 @@ evaluate, attention-dump) runs here on data/toy with a tiny model and a few upda
 
 import argparse
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from amr2text.bpe import load_bpe
 from amr2text.corpus import encode_linearized, load_examples
 from amr2text.generation import BeamConfig, beam_search, read_attention_dump
 from amr2text.linearize import read_linearized
-from amr2text.model import EncoderInput, load_checkpoint
+from amr2text.model import EncoderInput, ModelConfig, load_checkpoint, read_arrays
 from amr2text.cli import DEFAULTS, main
 
 TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
@@ -443,6 +444,18 @@ def test_max_len_beyond_positions_exits_2_before_decoding(quickstart, command, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "attention-dump"])
+def test_missing_explicit_features_file_exits_2(quickstart, command):
+    """An explicit --features path must exist; only the INPUT.feat default is optional."""
+    out = quickstart["w"] / f"no-features-{command}"
+    argv = [command, "--model", quickstart["model"], "--input", quickstart["test_lin"],
+            "--features", str(quickstart["w"] / "no-such.feat"),
+            "--enc-bpe", quickstart["enc_bpe"], "--dec-bpe", quickstart["dec_bpe"],
+            "--max-len", str(MAX_LEN), "--out-dir", str(out)]
+    assert run(*argv) == 2
+    assert not out.exists()
+
+
 def test_train_buckets_features_past_the_last_row(quickstart):
     """Toy graphs reach depth 2; one depth bucket (rows 0 and 1) must still train."""
     w = quickstart["w"]
@@ -474,6 +487,10 @@ def test_pretraining_log_streams_and_rerun_overwrites(quickstart, command):
     # Only encoder pretraining validates, at every checkpoint_every (2) updates.
     validated = [row[0] for row in rows if row[3]]
     assert validated == (["2", "4"] if command == "pretrain-encoder" else [])
+    # The checkpoint header is the architecture: no training rate is recorded.
+    ckpt = "encoder.ckpt" if command == "pretrain-encoder" else "decoder.ckpt"
+    header, _ = read_arrays(w / command / ckpt)
+    assert list(header) == [f.name for f in fields(ModelConfig)]
 
 
 # (subcommand, flag arguments, config key, echoed value): every dedicated flag.

@@ -14,7 +14,6 @@ from amr2text.corpus import (
     dataset_fingerprint,
     encode_linearized,
     ingest,
-    language_histogram,
     load_examples,
     load_manifest,
     make_batches,
@@ -223,12 +222,6 @@ def test_batch_token_count(rng):
     want = sum(len(ex.tgt_ids) - 1 for ex in data)
     got = sum(b.n_target_tokens(pad_id=0) for b in batches)
     assert got == want
-
-
-def test_language_histogram(rng):
-    data = _var_examples(rng, 6, "en") + _var_examples(rng, 4, "de")
-    batches = make_batches(data, 512, shuffle_seed=0, pad_id=0)
-    assert language_histogram(batches) == {"en": 6, "de": 4}
 
 
 def test_pack_sequences(rng):

@@ -37,7 +37,6 @@ def tiny_model(enc_vocab=9, dec_vocab=7, seed=0, max_positions=16):
         ffn_dim=24,
         enc_layers=1,
         dec_layers=1,
-        dropout=0.0,
         max_positions=max_positions,
         d_word=6,
         d_pos=4,

@@ -27,7 +27,7 @@ WANT = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))"
 # Feature tables far smaller than the graphs below, so bucketing shows.
 SMALL_TABLES = ModelConfig(
     enc_vocab=4, dec_vocab=4, d_model=8, n_heads=2, ffn_dim=8, enc_layers=1,
-    dec_layers=1, dropout=0.0, max_positions=64, depth_buckets=8, subgraph_buckets=8,
+    dec_layers=1, max_positions=64, depth_buckets=8, subgraph_buckets=8,
     d_word=4, d_pos=4, d_depth=4, d_subgraph=4,
 )
 
@@ -163,7 +163,6 @@ def test_language_token_prepended_with_zero_features():
     g = parse_penman(WANT)
     lin = linearize_for_language(g, "de")
     assert lin.tokens[0] == "<lang:de>"
-    assert lin.language_token == "<lang:de>"
     assert lin.depth_ids[0] == 0 and lin.subgraph_ids[0] == 0
     plain = linearize_for_language(g)
     assert (lin.tokens[1:], lin.depth_ids[1:], lin.subgraph_ids[1:]) == (
@@ -196,7 +195,6 @@ def test_write_read_round_trip(tmp_path):
         assert b.tokens == a.tokens
         assert b.depth_ids == a.depth_ids
         assert b.subgraph_ids == a.subgraph_ids
-        assert b.language_token == a.language_token
 
 
 def test_feature_length_mismatch_rejected():

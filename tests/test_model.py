@@ -9,6 +9,7 @@ import pytest
 from amr2text import tensor as T
 from amr2text.model import (
     DecoderState,
+    Dropout,
     EmptyInput,
     EncoderInput,
     IdOutOfRange,
@@ -38,7 +39,6 @@ TINY = ModelConfig(
     ffn_dim=24,
     enc_layers=2,
     dec_layers=2,
-    dropout=0.0,
     max_positions=12,
     depth_buckets=8,
     subgraph_buckets=8,
@@ -89,8 +89,6 @@ def test_config_validation():
         ModelConfig(enc_vocab=10, dec_vocab=10, d_model=15, n_heads=2).validate()
     with pytest.raises(InvalidConfig):
         ModelConfig(enc_vocab=0, dec_vocab=10).validate()
-    with pytest.raises(InvalidConfig):
-        ModelConfig(enc_vocab=10, dec_vocab=10, dropout=1.0).validate()
     desk_config(50, 60).validate()
 
 
@@ -215,14 +213,11 @@ def test_id_range_and_length_errors(params):
 
 
 def test_dropout_changes_training_forward(params):
-    import dataclasses
-
-    cfg = dataclasses.replace(TINY, dropout=0.3)
-    p = build(cfg, seed=0)
+    p = build(TINY, seed=0)
     rng = T.Rng(5)
-    a, _ = encode(p, enc_in([[1, 2, 3]]), training=True, rng=rng, step=0)
-    b, _ = encode(p, enc_in([[1, 2, 3]]), training=True, rng=rng, step=1)
-    c, _ = encode(p, enc_in([[1, 2, 3]]), training=True, rng=rng, step=0)
+    a, _ = encode(p, enc_in([[1, 2, 3]]), Dropout(0.3, 0.0, rng, 0))
+    b, _ = encode(p, enc_in([[1, 2, 3]]), Dropout(0.3, 0.0, rng, 1))
+    c, _ = encode(p, enc_in([[1, 2, 3]]), Dropout(0.3, 0.0, rng, 0))
     assert not np.allclose(a.data, b.data)
     np.testing.assert_array_equal(a.data, c.data)  # same step, same masks
 
@@ -271,7 +266,7 @@ def test_checkpoint_truncated(tmp_path, params):
 
 @pytest.mark.parametrize("case", [
     "config key missing", "config invalid", "tensor shape",
-    "state arrays missing", "state shapes",
+    "state arrays missing", "state shapes", "v1 magic",
 ])
 def test_reader_rejects_files_that_do_not_fit(tmp_path, params, case):
     header = {f.name: getattr(TINY, f.name) for f in fields(ModelConfig)}
@@ -294,6 +289,10 @@ def test_reader_rejects_files_that_do_not_fit(tmp_path, params, case):
         load = lambda path: load_trainer_state(path, opt)  # noqa: E731
     path = tmp_path / "bad.ckpt"
     write_arrays(path, header, arrays.items())
+    if case == "v1 magic":
+        # the previous format: its magic line, and the rates in the header
+        v1 = b"amr2text-checkpoint v1\ndropout=0.1\nlayerdrop=0.0\n"
+        path.write_bytes(path.read_bytes().replace(b"amr2text-checkpoint v2\n", v1, 1))
     with pytest.raises(MalformedCheckpoint):
         load(path)
 

@@ -20,7 +20,6 @@ from amr2text.training import (
     load_trainer_state,
     lr_at,
     pretrained_preset,
-    replace_config_rates,
     save_trainer_state,
     train,
 )
@@ -29,7 +28,7 @@ from amr2text.training import (
 def tiny_cfg(enc_vocab=13, dec_vocab=11, **kw):
     base = dict(
         d_model=16, n_heads=2, ffn_dim=24, enc_layers=1, dec_layers=1,
-        dropout=0.0, max_positions=32, d_word=6, d_pos=4, d_depth=3, d_subgraph=3,
+        max_positions=32, d_word=6, d_pos=4, d_depth=3, d_subgraph=3,
     )
     base.update(kw)
     return ModelConfig(enc_vocab=enc_vocab, dec_vocab=dec_vocab, **base)
@@ -311,19 +310,9 @@ def test_dataset_loss_eval_mode_and_batch_loss_agree():
     data = toy_examples(4)
     batches = make_batches(data, 256, shuffle_seed=0, pad_id=0)
     assert len(batches) == 1
-    direct = batch_loss(params, batches[0], 0, 0.0, training=False).item()
+    direct = batch_loss(params, batches[0], 0, 0.0).item()
     avg = dataset_loss(params, batches, pad_id=0)
     assert abs(direct - avg) < 1e-6
-
-
-def test_replace_config_rates_shares_tensors():
-    params = build(tiny_cfg(), seed=0)
-    cfg = TrainConfig(dropout=0.3, layerdrop=0.2)
-    out = replace_config_rates(params, cfg)
-    assert out.config.dropout == 0.3 and out.config.layerdrop == 0.2
-    assert out.tensors is params.tensors
-    same = replace_config_rates(out, cfg)
-    assert same is out
 
 
 def test_initialize_for_finetune_sources(tmp_path):
