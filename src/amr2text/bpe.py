@@ -54,7 +54,6 @@ class BpeModel:
     vocab: dict[str, int]
     specials: dict[str, int]
     protected: frozenset[str] = frozenset()
-    word_boundary_marker: str = WORD_BOUNDARY
     _ranks: dict[tuple[str, str], int] = field(default_factory=dict, repr=False, compare=False)
     _pieces: tuple[str, ...] = field(default=(), repr=False, compare=False)
     _cache: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)

@@ -216,20 +216,6 @@ def _lang_file_map(items: list[str], flag: str) -> dict[str, str]:
     return out
 
 
-def _load_lin_inputs(input_path: str, features_path: str | None) -> list[LinearizedAmr]:
-    """Tokens with features from ``features_path``, else from INPUT.feat if
-    present, else with all-zero features.  A missing explicit path is an error."""
-    if features_path is None and os.path.exists(input_path + ".feat"):
-        features_path = input_path + ".feat"
-    if features_path is not None:
-        return read_linearized(input_path, features_path)
-    out = []
-    for line in _read_lines(input_path):
-        tokens = tuple(line.split())
-        out.append(LinearizedAmr(tokens, (0,) * len(tokens), (0,) * len(tokens)))
-    return out
-
-
 def _with_lang(lin: LinearizedAmr, lang: str | None) -> LinearizedAmr:
     if lin.tokens and is_lang_token(lin.tokens[0]):
         have = parse_lang_token(lin.tokens[0])
@@ -468,7 +454,8 @@ def cmd_generate(args, cfg, provided) -> int:
     params = load_checkpoint(args.model)
     bcfg = _section(cfg, "beam")
     check_max_len(params, bcfg.max_len)
-    lins = _load_lin_inputs(args.input, args.features)
+    lins = read_linearized(args.input, args.features or args.input + ".feat")
+    lins = [_with_lang(lin, args.lang) for lin in lins]
     _echo_config(
         args.out_dir,
         "generate",
@@ -478,7 +465,6 @@ def cmd_generate(args, cfg, provided) -> int:
     hypotheses: list[str] = []
     scores: list[str] = []
     for lin in lins:
-        lin = _with_lang(lin, args.lang)
         enc_in, _ = _encoder_input(lin, enc_model)
         best, _ = beam_search(params, enc_in, bcfg, dec_model.bos_id, dec_model.eos_id)
         hypotheses.append(bpe_decode(dec_model, best.generated(dec_model.eos_id)))
@@ -557,7 +543,7 @@ def cmd_attention_dump(args, cfg, provided) -> int:
     params = load_checkpoint(args.model)
     bcfg = _section(cfg, "beam")
     check_max_len(params, bcfg.max_len)
-    lins = _load_lin_inputs(args.input, args.features)
+    lins = read_linearized(args.input, args.features or args.input + ".feat")
     if not 0 <= args.line < len(lins):
         raise ValueError(f"--line {args.line} outside input range 0..{len(lins) - 1}")
     lin = _with_lang(lins[args.line], args.lang)
@@ -660,7 +646,7 @@ def build_parser() -> _Parser:
     p = add("generate", cmd_generate, "beam-search decode linearized graphs")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="linearized token file")
-    p.add_argument("--features", help="feature file (default: INPUT.feat if present)")
+    p.add_argument("--features", help="feature file (default: INPUT.feat)")
     p.add_argument("--enc-bpe", required=True)
     p.add_argument("--dec-bpe", required=True)
     p.add_argument("--lang")
@@ -691,8 +677,8 @@ def build_parser() -> _Parser:
 
     p = add("attention-dump", cmd_attention_dump, "cross-attention grid for one input")
     p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--features")
+    p.add_argument("--input", required=True, help="linearized token file")
+    p.add_argument("--features", help="feature file (default: INPUT.feat)")
     p.add_argument("--enc-bpe", required=True)
     p.add_argument("--dec-bpe", required=True)
     p.add_argument("--lang")

@@ -277,7 +277,6 @@ class Batch:
     src_subgraph: np.ndarray
     src_pad_mask: np.ndarray
     tgt: np.ndarray
-    languages: tuple[str, ...]
     example_indices: tuple[int, ...]
 
     @property
@@ -342,7 +341,6 @@ def make_batches(
                     [(1,) * len(ex.src_ids) for ex in exs], 0
                 ).astype(bool),
                 tgt=_pad_rows([ex.tgt_ids for ex in exs], pad_id),
-                languages=tuple(ex.language for ex in exs),
                 example_indices=tuple(group),
             )
         )

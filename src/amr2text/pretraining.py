@@ -1,15 +1,16 @@
 """Denoising pretraining for the encoder, causal-LM pretraining for the decoder.
 
-Noise operates on linearized AMR token sequences.  Parentheses and the
-language token are structural and untouchable: token masking replaces
-other tokens with <mask> independently, span masking collapses Poisson-
-length runs (never crossing a parenthesis) into a single <mask>, and
-shuffling permutes the root's child segments.  All three are deterministic
-given (seed, example index).  Encoder pretraining reconstructs the
-original sequence from its noised form through a temporary reconstruction
-decoder over the encoder vocabulary; only the encoder weights are kept.
-Decoder pretraining is a language-token-conditioned causal LM with no
-encoder attached.  Both run on ``training``'s update loop.
+Noise maps a LinearizedAmr to a LinearizedAmr: each token's depth and
+subgraph ids move with it.  Parentheses and the language token are
+structural and untouchable: token masking replaces other tokens with
+<mask> independently, span masking collapses Poisson-length runs (never
+crossing a parenthesis) into a single <mask>, and shuffling permutes the
+root's child segments.  All three are deterministic given (seed, example
+index).  Encoder pretraining reconstructs the original sequence from its
+noised form through a temporary reconstruction decoder over the encoder
+vocabulary; only the encoder weights are kept.  Decoder pretraining is a
+language-token-conditioned causal LM with no encoder attached.  Both run
+on ``training``'s update loop.
 """
 
 from __future__ import annotations
@@ -61,19 +62,8 @@ def _maskable(token: str) -> bool:
     return token not in ("(", ")") and not is_lang_token(token)
 
 
-def _mask_positions(
-    tokens: list[str], spec: NoiseSpec, gen: np.random.Generator
-) -> set[int]:
-    draws = gen.random(len(tokens))
-    return {
-        i
-        for i, t in enumerate(tokens)
-        if _maskable(t) and t != MASK and draws[i] < spec.mask_prob
-    }
-
-
 def _span_cover(
-    tokens: list[str], spec: NoiseSpec, gen: np.random.Generator
+    tokens: tuple[str, ...], spec: NoiseSpec, gen: np.random.Generator
 ) -> set[int]:
     """Positions covered by sampled spans, totalling ~span_mass of the
     maskable tokens; a span extends rightward without crossing parens."""
@@ -94,22 +84,7 @@ def _span_cover(
     return covered
 
 
-def _collapse_groups(items: list, covered: set[int], mask_item) -> list:
-    """Replace each maximal run of covered positions with one mask item."""
-    out = []
-    i = 0
-    while i < len(items):
-        if i in covered:
-            out.append(mask_item(i))
-            while i in covered:
-                i += 1
-        else:
-            out.append(items[i])
-            i += 1
-    return out
-
-
-def _check_balance(tokens: list[str]) -> None:
+def _check_balance(tokens: tuple[str, ...]) -> None:
     depth = 0
     for t in tokens:
         if t == "(":
@@ -122,7 +97,7 @@ def _check_balance(tokens: list[str]) -> None:
         raise UnbalancedInput(f"{depth} unclosed parens")
 
 
-def _segment_spans(tokens: list[str]) -> list[tuple[int, int]]:
+def _segment_spans(tokens: tuple[str, ...]) -> list[tuple[int, int]]:
     """Per-segment [start, end) spans of the root's children.
 
     A segment is a role token at root depth together with its value or
@@ -156,75 +131,53 @@ def _segment_spans(tokens: list[str]) -> list[tuple[int, int]]:
     return segments
 
 
-def mask_tokens(tokens, spec: NoiseSpec, example_index: int = 0, features=None):
-    """Independently replace non-structural tokens with <mask>.
-
-    With ``features`` (one item per token), returns (tokens, features);
-    masking moves no token, so the features come back as given.
-    """
-    tokens = list(tokens)
-    gen = Rng(spec.seed).stream("mask", example_index)
-    positions = _mask_positions(tokens, spec, gen)
-    out = [MASK if i in positions else t for i, t in enumerate(tokens)]
-    return out if features is None else (out, list(features))
+def _pick(lin: LinearizedAmr, order, masked=()) -> LinearizedAmr:
+    """The tokens at ``order`` with their ids; positions in ``masked`` become <mask>."""
+    return LinearizedAmr(
+        tuple(MASK if i in masked else lin.tokens[i] for i in order),
+        tuple(lin.depth_ids[i] for i in order),
+        tuple(lin.subgraph_ids[i] for i in order),
+    )
 
 
-def mask_spans(tokens, spec: NoiseSpec, example_index: int = 0, features=None):
-    """Collapse Poisson-length spans into single <mask> tokens.
+def mask_tokens(lin: LinearizedAmr, spec: NoiseSpec, example_index: int = 0) -> LinearizedAmr:
+    """Independently replace non-structural tokens with <mask>."""
+    draws = Rng(spec.seed).stream("mask", example_index).random(len(lin.tokens))
+    masked = {
+        i
+        for i, t in enumerate(lin.tokens)
+        if _maskable(t) and t != MASK and draws[i] < spec.mask_prob
+    }
+    return _pick(lin, range(len(lin.tokens)), masked)
 
-    With ``features`` (one item per token), returns (tokens, features); a
-    collapsed span keeps its first token's feature item.
-    """
-    tokens = list(tokens)
+
+def mask_spans(lin: LinearizedAmr, spec: NoiseSpec, example_index: int = 0) -> LinearizedAmr:
+    """Collapse Poisson-length spans into single <mask> tokens; each mask
+    keeps the ids of the first token it covers."""
     gen = Rng(spec.seed).stream("spans", example_index)
-    covered = _span_cover(tokens, spec, gen)
-    out = _collapse_groups(tokens, covered, lambda i: MASK)
-    if features is None:
-        return out
-    return out, _collapse_groups(features, covered, lambda i: features[i])
+    covered = _span_cover(lin.tokens, spec, gen)
+    order = [i for i in range(len(lin.tokens)) if i not in covered or i - 1 not in covered]
+    return _pick(lin, order, covered)
 
 
-def shuffle_segments(tokens, spec: NoiseSpec, example_index: int = 0, features=None):
-    """Permute the root's child segments with a seeded permutation.
-
-    With ``features`` (one item per token), returns (tokens, features), the
-    features permuted with their tokens.
-    """
-    tokens = list(tokens)
-    _check_balance(tokens)
+def shuffle_segments(
+    lin: LinearizedAmr, spec: NoiseSpec, example_index: int = 0
+) -> LinearizedAmr:
+    """Permute the root's child segments with a seeded permutation."""
+    _check_balance(lin.tokens)
     gen = Rng(spec.seed).stream("shuffle", example_index)
-    segments = _segment_spans(tokens)
-    order = list(range(len(tokens)))
+    segments = _segment_spans(lin.tokens)
+    order = list(range(len(lin.tokens)))
     if len(segments) >= 2:
         body = [i for j in gen.permutation(len(segments)) for i in range(*segments[j])]
         order = order[: segments[0][0]] + body + order[segments[-1][1] :]
-    out = [tokens[i] for i in order]
-    return out if features is None else (out, [features[i] for i in order])
+    return _pick(lin, order)
 
 
-def apply_noise(
-    lin_tokens,
-    spec: NoiseSpec,
-    example_index: int = 0,
-    depth_ids=None,
-    subgraph_ids=None,
-):
-    """Spans, then token masking, then segment shuffle (if ``spec.shuffle``);
-    optional feature rows move with their tokens (a collapsed span keeps its
-    first token's ids).
-
-    Returns (tokens, depth_ids, subgraph_ids); the feature rows are None
-    when not supplied.
-    """
-    given = depth_ids is not None and subgraph_ids is not None
-    features = list(zip(depth_ids, subgraph_ids)) if given else [None] * len(lin_tokens)
-    tokens, features = mask_spans(lin_tokens, spec, example_index, features)
-    tokens, features = mask_tokens(tokens, spec, example_index, features)
-    if spec.shuffle:
-        tokens, features = shuffle_segments(tokens, spec, example_index, features)
-    if not given:
-        return tokens, None, None
-    return tokens, [d for d, _ in features], [s for _, s in features]
+def apply_noise(lin: LinearizedAmr, spec: NoiseSpec, example_index: int = 0) -> LinearizedAmr:
+    """Spans, then token masking, then segment shuffle (if ``spec.shuffle``)."""
+    lin = mask_tokens(mask_spans(lin, spec, example_index), spec, example_index)
+    return shuffle_segments(lin, spec, example_index) if spec.shuffle else lin
 
 
 def noised_examples(
@@ -238,23 +191,16 @@ def noised_examples(
     ``rounds`` independent corruptions of each example are emitted, keyed
     by (round, example index) for reproducibility.
     """
+    targets = [
+        (enc_model.bos_id, *encode_linearized(lin, enc_model)[0], enc_model.eos_id)
+        for lin in corpus
+    ]
     examples: list[ParallelExample] = []
     for r in range(rounds):
         for i, lin in enumerate(corpus):
-            tokens, depths, subs = apply_noise(
-                lin.tokens,
-                spec,
-                example_index=r * len(corpus) + i,
-                depth_ids=lin.depth_ids,
-                subgraph_ids=lin.subgraph_ids,
-            )
-            noised = LinearizedAmr(tuple(tokens), tuple(depths), tuple(subs))
-            tgt_ids = [enc_model.bos_id]
-            for tok in lin.tokens:
-                tgt_ids.extend(encode(enc_model, tok))
-            tgt_ids.append(enc_model.eos_id)
+            noised = apply_noise(lin, spec, r * len(corpus) + i)
             examples.append(
-                ParallelExample(*encode_linearized(noised, enc_model), tuple(tgt_ids), "en")
+                ParallelExample(*encode_linearized(noised, enc_model), targets[i], "en")
             )
     return examples
 

@@ -155,7 +155,7 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data, dtype=data.dtype)
-    tracked = tuple(p for p in parents if p.requires_grad or p._parents)
+    tracked = tuple(p for p in parents if p.requires_grad)
     if _GRAD_ENABLED and tracked:
         out.requires_grad = True
         out._parents = tracked
@@ -187,9 +187,9 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
     return _result(data, (a, b), backward)
@@ -204,9 +204,9 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _result(data, (a, b), backward)
@@ -219,10 +219,10 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             ga = g @ b.data.swapaxes(-1, -2)
             a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             gb = a.data.swapaxes(-1, -2) @ g
             b._accumulate(_unbroadcast(gb, b.shape))
 
@@ -266,11 +266,11 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     data = xhat * gain.data + bias.data
 
     def backward(g):
-        if gain.requires_grad or gain._parents:
+        if gain.requires_grad:
             gain._accumulate((g * xhat).reshape(-1, n).sum(axis=0))
-        if bias.requires_grad or bias._parents:
+        if bias.requires_grad:
             bias._accumulate(g.reshape(-1, n).sum(axis=0))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             dxhat = g * gain.data
             term = dxhat.sum(axis=-1, keepdims=True) + xhat * (dxhat * xhat).sum(
                 axis=-1, keepdims=True
@@ -314,7 +314,7 @@ def concat_last_dim(parts: list[Tensor]) -> Tensor:
     def backward(g):
         offset = 0
         for p, w in zip(parts, widths):
-            if p.requires_grad or p._parents:
+            if p.requires_grad:
                 p._accumulate(g[..., offset : offset + w])
             offset += w
 

@@ -32,7 +32,12 @@ from amr2text.evaluation import (
 )
 from amr2text.generation import BeamConfig, beam_search, greedy, attention_dump, read_attention_dump
 from amr2text.graph import parse_penman, serialize_penman
-from amr2text.linearize import compute_node_features, prepend_language_token, linearize_for_language
+from amr2text.linearize import (
+    LinearizedAmr,
+    compute_node_features,
+    linearize_for_language,
+    prepend_language_token,
+)
 from amr2text.model import (
     DecoderState,
     EncoderInput,
@@ -188,7 +193,7 @@ def _random_gc_batch(rng: np.random.Generator) -> Batch:
         tgt[b, Lt - 1] = EOS
     return Batch(
         src=src, src_depth=dep, src_subgraph=sub, src_pad_mask=mask,
-        tgt=tgt, languages=("en",) * B, example_indices=tuple(range(B)),
+        tgt=tgt, example_indices=tuple(range(B)),
     )
 
 
@@ -408,12 +413,17 @@ def test_c07_beam_exactness_and_dominance_50_models():
 # 8. noising statistics
 
 
+def _zero_ids(tokens) -> LinearizedAmr:
+    return LinearizedAmr(tuple(tokens), (0,) * len(tokens), (0,) * len(tokens))
+
+
 def test_c08_noise_statistics():
     words = [f"w{i}" for i in range(100)]
     # token masking rate over 100k tokens
     spec = NoiseSpec(mask_prob=0.15, span_mass=0.0, shuffle=False, seed=2)
     masked = sum(
-        mask_tokens(words, spec, example_index=k).count(MASK) for k in range(1000)
+        mask_tokens(_zero_ids(words), spec, example_index=k).tokens.count(MASK)
+        for k in range(1000)
     )
     rate = masked / 100000
     # span coverage over 100k tokens: each collapsed run of covered tokens
@@ -421,7 +431,7 @@ def test_c08_noise_statistics():
     spec = NoiseSpec(mask_prob=0.0, span_mass=0.3, span_lambda=3.0, shuffle=False, seed=2)
     covered = 0
     for k in range(1000):
-        out = mask_spans(words, spec, example_index=k)
+        out = mask_spans(_zero_ids(words), spec, example_index=k).tokens
         covered += (len(words) - len(out)) + out.count(MASK)
     coverage = covered / 100000
     # segment shuffle uniformity: 3 sibling segments, 6 permutations
@@ -430,7 +440,7 @@ def test_c08_noise_statistics():
     spec = NoiseSpec(mask_prob=0.0, span_mass=0.0, shuffle=True, seed=2)
     counts: dict[tuple, int] = {}
     for k in range(600):
-        out = shuffle_segments(tokens, spec, example_index=k)
+        out = shuffle_segments(_zero_ids(tokens), spec, example_index=k).tokens
         key = tuple(t for t in out if t.startswith(":"))
         counts[key] = counts.get(key, 0) + 1
     observed = np.zeros(6)
@@ -444,7 +454,7 @@ def test_c08_noise_statistics():
     balanced = 0
     for lin in lins:
         for k in range(50):
-            noised, _, _ = apply_noise(lin.tokens, spec, example_index=k)
+            noised = apply_noise(_zero_ids(lin.tokens), spec, example_index=k).tokens
             depth = 0
             for tok in noised:
                 depth += tok == "("

@@ -8,6 +8,7 @@ evaluate, attention-dump) runs here on data/toy with a tiny model and a few upda
 import argparse
 import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,12 +447,54 @@ def test_max_len_beyond_positions_exits_2_before_decoding(quickstart, command, m
 
 @pytest.mark.parametrize("command", ["generate", "attention-dump"])
 def test_missing_explicit_features_file_exits_2(quickstart, command):
-    """An explicit --features path must exist; only the INPUT.feat default is optional."""
+    """An explicit --features path must exist."""
     out = quickstart["w"] / f"no-features-{command}"
     argv = [command, "--model", quickstart["model"], "--input", quickstart["test_lin"],
             "--features", str(quickstart["w"] / "no-such.feat"),
             "--enc-bpe", quickstart["enc_bpe"], "--dec-bpe", quickstart["dec_bpe"],
             "--max-len", str(MAX_LEN), "--out-dir", str(out)]
+    assert run(*argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "attention-dump"])
+def test_missing_default_features_file_exits_2(quickstart, command, tmp_path):
+    """Without --features, INPUT.feat must exist: no decoding on invented zero ids."""
+    tokens_only = tmp_path / "test.en.lin"
+    tokens_only.write_bytes(Path(quickstart["test_lin"]).read_bytes())
+    out = tmp_path / "out"
+    argv = [command, "--model", quickstart["model"], "--input", str(tokens_only),
+            "--enc-bpe", quickstart["enc_bpe"], "--dec-bpe", quickstart["dec_bpe"],
+            "--max-len", str(MAX_LEN), "--out-dir", str(out)]
+    assert run(*argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["no-lang", "other-lang"])
+def test_generate_checks_every_line_language_before_work(quickstart, case, tmp_path,
+                                                         monkeypatch):
+    """A bad language token on the last line fails before any line is decoded."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("decoded a line before checking every line's language")
+
+    monkeypatch.setattr(cli, "beam_search", no_search)
+    tokens = Path(quickstart["test_lin"]).read_text(encoding="utf-8").splitlines()
+    feats = Path(quickstart["test_lin"] + ".feat").read_text(encoding="utf-8").splitlines()
+    assert tokens[-1].startswith("<lang:en> ")
+    if case == "no-lang":
+        tokens[-1] = tokens[-1].split(" ", 1)[1]
+        feats[-1] = feats[-1].split(" ", 1)[1]
+        lang_flag = []
+    else:
+        tokens[-1] = "<lang:de> " + tokens[-1].split(" ", 1)[1]
+        lang_flag = ["--lang", "en"]
+    lin = tmp_path / "mixed.lin"
+    lin.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    (tmp_path / "mixed.lin.feat").write_text("\n".join(feats) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["generate", "--model", quickstart["model"], "--input", str(lin),
+            "--enc-bpe", quickstart["enc_bpe"], "--dec-bpe", quickstart["dec_bpe"],
+            "--max-len", str(MAX_LEN), *lang_flag, "--out-dir", str(out)]
     assert run(*argv) == 2
     assert not out.exists()
 

@@ -1,12 +1,15 @@
 """Noise model and pretraining loop tests."""
 
+import dataclasses
+import hashlib
+import os
 
 import numpy as np
 import pytest
 
 from amr2text.bpe import MASK, train_bpe
-from amr2text.graph import parse_penman
-from amr2text.linearize import linearize_for_language
+from amr2text.graph import iter_penman_blocks, parse_penman
+from amr2text.linearize import LinearizedAmr, linearize_for_language
 from amr2text.model import ModelConfig, build
 from amr2text.pretraining import (
     MissingMonolingualData,
@@ -29,6 +32,11 @@ AMR = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b) :time (t / today))
 TOKENS = tuple(linearize_for_language(parse_penman(AMR), "en").tokens)
 
 
+def _lin(tokens) -> LinearizedAmr:
+    """Tokens with zero depth and subgraph ids."""
+    return LinearizedAmr(tuple(tokens), (0,) * len(tokens), (0,) * len(tokens))
+
+
 def tiny_cfg(enc_vocab, dec_vocab):
     return ModelConfig(
         enc_vocab=enc_vocab,
@@ -48,7 +56,7 @@ def tiny_cfg(enc_vocab, dec_vocab):
 
 def test_mask_tokens_protects_structure():
     spec = NoiseSpec(mask_prob=1.0, span_mass=0.0, shuffle=False, seed=0)
-    out = mask_tokens(TOKENS, spec)
+    out = mask_tokens(_lin(TOKENS), spec).tokens
     assert len(out) == len(TOKENS)
     for orig, tok in zip(TOKENS, out):
         if orig in ("(", ")") or orig.startswith("<lang:"):
@@ -59,9 +67,9 @@ def test_mask_tokens_protects_structure():
 
 def test_mask_tokens_deterministic_per_example_index():
     spec = NoiseSpec(mask_prob=0.4, span_mass=0.0, shuffle=False, seed=3)
-    a = mask_tokens(TOKENS, spec, example_index=5)
-    b = mask_tokens(TOKENS, spec, example_index=5)
-    c = mask_tokens(TOKENS, spec, example_index=6)
+    a = mask_tokens(_lin(TOKENS), spec, example_index=5).tokens
+    b = mask_tokens(_lin(TOKENS), spec, example_index=5).tokens
+    c = mask_tokens(_lin(TOKENS), spec, example_index=6).tokens
     assert a == b
     assert a != c
 
@@ -69,7 +77,7 @@ def test_mask_tokens_deterministic_per_example_index():
 def test_mask_rate_statistics():
     tokens = ["tok"] * 20000
     spec = NoiseSpec(mask_prob=0.15, span_mass=0.0, shuffle=False, seed=1)
-    out = mask_tokens(tokens, spec)
+    out = mask_tokens(_lin(tokens), spec).tokens
     rate = out.count(MASK) / len(out)
     assert abs(rate - 0.15) < 0.01
 
@@ -77,7 +85,7 @@ def test_mask_rate_statistics():
 def test_mask_spans_collapse_and_coverage():
     tokens = ["tok"] * 5000
     spec = NoiseSpec(mask_prob=0.0, span_lambda=3.0, span_mass=0.3, shuffle=False, seed=2)
-    out = mask_spans(tokens, spec)
+    out = mask_spans(_lin(tokens), spec).tokens
     n_masks = out.count(MASK)
     covered = len(tokens) - (len(out) - n_masks)
     assert abs(covered / len(tokens) - 0.3) < 0.02
@@ -86,7 +94,7 @@ def test_mask_spans_collapse_and_coverage():
 
 def test_mask_spans_never_cross_parens():
     spec = NoiseSpec(mask_prob=0.0, span_mass=0.9, shuffle=False, seed=0)
-    out = mask_spans(TOKENS, spec)
+    out = mask_spans(_lin(TOKENS), spec).tokens
     assert out.count("(") == TOKENS.count("(")
     assert out.count(")") == TOKENS.count(")")
 
@@ -96,7 +104,8 @@ def test_shuffle_preserves_segments():
     # find a seed that actually permutes three segments
     out = None
     for seed in range(20):
-        candidate = shuffle_segments(TOKENS, NoiseSpec(shuffle=True, seed=seed))
+        noised = shuffle_segments(_lin(TOKENS), NoiseSpec(shuffle=True, seed=seed))
+        candidate = list(noised.tokens)
         if candidate != list(TOKENS):
             out = candidate
             break
@@ -112,20 +121,19 @@ def test_shuffle_preserves_segments():
 
 def test_shuffle_no_op_below_two_segments():
     tokens = ["(", "see-01", ":ARG0", "(", "dog", ")", ")"]
-    assert shuffle_segments(tokens, NoiseSpec(seed=0)) == tokens
+    assert list(shuffle_segments(_lin(tokens), NoiseSpec(seed=0)).tokens) == tokens
 
 
 def test_shuffle_rejects_unbalanced():
     with pytest.raises(UnbalancedInput):
-        shuffle_segments(["(", "a", "(", "b", ")"], NoiseSpec(seed=0))
+        shuffle_segments(_lin(["(", "a", "(", "b", ")"]), NoiseSpec(seed=0))
 
 
 def test_apply_noise_moves_features_with_tokens():
     lin = linearize_for_language(parse_penman(AMR), "en")
     spec = NoiseSpec(mask_prob=0.0, span_mass=0.0, shuffle=True, seed=4)
-    tokens, depths, subs = apply_noise(
-        lin.tokens, spec, depth_ids=lin.depth_ids, subgraph_ids=lin.subgraph_ids
-    )
+    noised = apply_noise(lin, spec)
+    tokens, depths, subs = noised.tokens, noised.depth_ids, noised.subgraph_ids
     assert len(tokens) == len(depths) == len(subs)
     want = {(t, d, s) for t, d, s in zip(lin.tokens, lin.depth_ids, lin.subgraph_ids)}
     got = {(t, d, s) for t, d, s in zip(tokens, depths, subs)}
@@ -137,7 +145,8 @@ def test_apply_noise_span_keeps_first_token_features():
     depths = [0, 1, 2, 3, 4, 0]
     subs = [0, 1, 2, 3, 4, 0]
     spec = NoiseSpec(mask_prob=0.0, span_lambda=50.0, span_mass=1.0, shuffle=False, seed=0)
-    out, d, s = apply_noise(tokens, spec, depth_ids=depths, subgraph_ids=subs)
+    noised = apply_noise(LinearizedAmr(tuple(tokens), tuple(depths), tuple(subs)), spec)
+    out, d, s = list(noised.tokens), noised.depth_ids, noised.subgraph_ids
     assert out == ["(", MASK, ")"]
     assert d[1] in (1, 2, 3, 4) and d[1] == s[1]  # first covered position's ids
 
@@ -149,10 +158,7 @@ def test_apply_noise_keeps_balance_on_random_graphs():
     spec = NoiseSpec(mask_prob=0.3, span_mass=0.3, shuffle=True, seed=9)
     for i in range(100):
         lin = linearize_for_language(oracles.random_graph(rng), "en")
-        tokens, _, _ = apply_noise(
-            lin.tokens, spec, example_index=i, depth_ids=lin.depth_ids,
-            subgraph_ids=lin.subgraph_ids,
-        )
+        tokens = apply_noise(lin, spec, example_index=i).tokens
         depth = 0
         for t in tokens:
             depth += {"(": 1, ")": -1}.get(t, 0)
@@ -172,6 +178,29 @@ def test_noised_examples_rounds_and_targets():
     assert len({ex.tgt_ids for ex in examples}) == 1
     # corruption differs between rounds (with overwhelming probability)
     assert len({ex.src_ids for ex in examples}) > 1
+
+
+# SHA-256 of noised_examples over data/toy/train.amr (numpy 2.4.6); a change
+# to the rng streams, their draw order, or the ids a mask keeps shows up here.
+NOISED_TOY_DIGESTS = [
+    (NoiseSpec(), "7104f12345ae6a99ad3c5d6a8c057040fc0bd7ff467efbd341c786157ea91368"),
+    (NoiseSpec(shuffle=False, seed=7),
+     "15d48c3a0b3b8eeefd6bd752c80ab5c496688eb8725e1a30ddc0d31ea6c0ffa9"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", NOISED_TOY_DIGESTS, ids=["default", "no-shuffle-seed7"])
+def test_noised_examples_digest_on_toy_graphs(spec, digest):
+    path = os.path.join(os.path.dirname(__file__), "..", "data", "toy", "train.amr")
+    with open(path, encoding="utf-8") as f:
+        corpus = [linearize_for_language(parse_penman(b)) for b in iter_penman_blocks(f.read())]
+    enc = train_bpe([" ".join(lin.tokens) for lin in corpus], 120, protect_roles=True)
+    examples = noised_examples(corpus, enc, spec, rounds=2)
+    assert len(examples) == 2 * len(corpus) == 128
+    h = hashlib.sha256()
+    for ex in examples:
+        h.update(repr(dataclasses.astuple(ex)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_pretrain_encoder_updates_shared_encoder_only():
