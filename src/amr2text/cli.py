@@ -1,11 +1,12 @@
 """Command-line entry point exposing the pipeline as subcommands.
 
-Settings resolve in three layers over DEFAULTS: an optional key=value
-config file (--config), then repeatable --set key=value overrides, then
-dedicated flags, each of which sets one key (--beam sets beam.size).  The
-keys are the fields of TrainConfig, ModelConfig, BeamConfig and NoiseSpec
-plus a few no dataclass holds.  Unknown keys, values outside a key's
-choices and values a section's dataclass rejects fail before any work.
+Settings resolve once, in three layers over DEFAULTS: an optional
+key=value config file (--config), then repeatable --set key=value
+overrides, then dedicated flags, each of which sets one key (--beam sets
+beam.size); no subcommand changes a key afterwards.  The keys are the
+fields of TrainConfig, ModelConfig, BeamConfig and NoiseSpec plus a few no
+dataclass holds.  Unknown keys, values outside a key's choices and values
+a section's dataclass rejects fail before any work.
 Subcommands that write files place everything under --out-dir together
 with the effective configuration (run.config.txt).  Exit codes: 0
 success, 1 usage error, 2 data error.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .model import (
     save_checkpoint,
 )
 from .pretraining import NoiseSpec, pretrain_decoder, pretrain_encoder
-from .training import TrainConfig, fresh_preset, initialize_for_finetune, pretrained_preset, train
+from .training import TrainConfig, initialize_for_finetune, train
 
 
 class UsageError(Exception):
@@ -74,28 +75,21 @@ def _bool(raw: str) -> bool:
 
 
 # Config keys are "<section>.<field>" for each field of these dataclasses,
-# except the fields the CLI sets itself: seeds, vocabulary sizes and Adam's
-# constants.
+# except the fields the CLI sets itself: seeds and vocabulary sizes.
 SECTIONS = {"train": TrainConfig, "model": ModelConfig, "beam": BeamConfig, "noise": NoiseSpec}
-_CLI_SET = {
-    "train.seed", "train.adam_betas", "train.adam_eps", "noise.seed",
-    "model.enc_vocab", "model.dec_vocab",
-}
-_ALIASES = {"beam.beam_size": "beam.size", "beam.length_penalty_alpha": "beam.alpha"}
-CHOICES = {"train.preset": ("fresh", "pretrained"), "corpus.split_mode": ("common-test", "derive")}
+_CLI_SET = {"train.seed", "noise.seed", "model.enc_vocab", "model.dec_vocab"}
+CHOICES = {"corpus.split_mode": ("common-test", "derive")}
 
 
 def _keyed_fields(section: str):
     """(field, config key) for each field of the section's dataclass that is a key."""
     for f in fields(SECTIONS[section]):
-        name = f"{section}.{f.name}"
-        if name not in _CLI_SET:
-            yield f, _ALIASES.get(name, name)
+        if f"{section}.{f.name}" not in _CLI_SET:
+            yield f, f"{section}.{f.name}"
 
 
 DEFAULTS = {key: f.default for section in SECTIONS for f, key in _keyed_fields(section)}
 DEFAULTS.update({
-    "train.preset": "fresh",
     "noise.rounds": 4,
     "bpe.merges": 1000,
     "bpe.protect_roles": False,
@@ -135,8 +129,8 @@ def _load_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-def resolve_config(args) -> tuple[dict, set[str]]:
-    """Merge defaults <- config file <- --set items <- flags; track provided keys."""
+def resolve_config(args) -> dict:
+    """Merge defaults <- config file <- --set items <- flags, then check the result."""
     raw: dict[str, str] = {}
     if getattr(args, "config", None):
         raw.update(_load_config_file(args.config))
@@ -153,12 +147,10 @@ def resolve_config(args) -> tuple[dict, set[str]]:
             cfg[key] = KNOWN_KEYS[key](value)
         except ValueError:
             raise UsageError(f"bad value for {key}: {value!r}")
-    provided = set(raw)
     # dedicated flags store under their config key; None means not given
     for key, value in vars(args).items():
         if key in KNOWN_KEYS and value is not None:
             cfg[key] = value
-            provided.add(key)
     for key, choices in CHOICES.items():
         if cfg[key] not in choices:
             raise UsageError(
@@ -173,7 +165,7 @@ def resolve_config(args) -> tuple[dict, set[str]]:
         _section(cfg, "beam")  # BeamConfig checks itself on construction
     except ValueError as err:
         raise UsageError(f"bad setting: {err}") from None
-    return cfg, provided
+    return cfg
 
 
 def _echo_config(out_dir, subcommand: str, cfg: dict, facts: dict) -> None:
@@ -242,7 +234,7 @@ def _encoder_input(lin: LinearizedAmr, enc_model) -> tuple[EncoderInput, list[in
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_parse_amr(args, cfg, provided) -> int:
+def cmd_parse_amr(args, cfg) -> int:
     graphs = _load_graphs(args.input)
     _echo_config(args.out_dir, "parse-amr", cfg, {"in": args.input})
     out_path = os.path.join(args.out_dir, "parsed.amr")
@@ -255,7 +247,7 @@ def cmd_parse_amr(args, cfg, provided) -> int:
     return 0
 
 
-def cmd_linearize(args, cfg, provided) -> int:
+def cmd_linearize(args, cfg) -> int:
     graphs = _load_graphs(args.input)
     lins = [linearize_for_language(g, args.lang) for g in graphs]
     features = args.features or args.out + ".feat"
@@ -271,7 +263,7 @@ def cmd_linearize(args, cfg, provided) -> int:
     return 0
 
 
-def cmd_train_bpe(args, cfg, provided) -> int:
+def cmd_train_bpe(args, cfg) -> int:
     lines: list[str] = []
     for path in args.input:
         lines.extend(_read_lines(path))
@@ -296,17 +288,13 @@ def cmd_train_bpe(args, cfg, provided) -> int:
     return 0
 
 
-def cmd_build_corpus(args, cfg, provided) -> int:
-    manifest = load_manifest(args.manifest, derive_n=cfg["corpus.derive_n"])
-    if "corpus.derive_n" in provided:
-        # explicit flag/setting outranks the manifest directive
-        manifest = replace(manifest, derive_n=cfg["corpus.derive_n"])
+def cmd_build_corpus(args, cfg) -> int:
+    entries = load_manifest(args.manifest)
     enc_model = load_bpe(args.enc_bpe)
     dec_model = load_bpe(args.dec_bpe)
-    result = ingest(manifest, enc_model, dec_model)
-    mode = cfg["corpus.split_mode"]
+    result = ingest(entries, enc_model, dec_model)
     split_by_lang = {
-        lang: split_store(store, mode, manifest.derive_n)
+        lang: split_store(store, cfg["corpus.split_mode"], cfg["corpus.derive_n"])
         for lang, store in result.stores.items()
     }
     languages = args.languages.split(",") if args.languages else sorted(split_by_lang)
@@ -339,9 +327,11 @@ def cmd_build_corpus(args, cfg, provided) -> int:
     return 0
 
 
-def cmd_pretrain_encoder(args, cfg, provided) -> int:
+def cmd_pretrain_encoder(args, cfg) -> int:
     enc_model = load_bpe(args.bpe)
     corpus = [linearize_for_language(g) for g in _load_graphs(args.amr)]
+    if not corpus:
+        raise ValueError(f"{args.amr} holds no graphs")
     tcfg = _section(cfg, "train", seed=args.seed)
     mcfg = _section(cfg, "model", enc_vocab=enc_model.vocab_size, dec_vocab=enc_model.vocab_size)
     params = build(mcfg, args.seed)
@@ -364,7 +354,7 @@ def cmd_pretrain_encoder(args, cfg, provided) -> int:
     return 0
 
 
-def cmd_pretrain_decoder(args, cfg, provided) -> int:
+def cmd_pretrain_decoder(args, cfg) -> int:
     dec_model = load_bpe(args.bpe)
     corpora = {
         lang: _read_lines(path)
@@ -390,23 +380,14 @@ def cmd_pretrain_decoder(args, cfg, provided) -> int:
     return 0
 
 
-def cmd_train(args, cfg, provided) -> int:
-    pretrained = bool(args.encoder_ckpt or args.decoder_ckpt or args.embeddings)
-    if "train.preset" not in provided and pretrained:
-        cfg["train.preset"] = "pretrained"
-    preset = (
-        pretrained_preset() if cfg["train.preset"] == "pretrained" else fresh_preset()
-    )
-    if "train.base_lr" not in provided:
-        cfg["train.base_lr"] = preset.base_lr
-    if "train.warmup_steps" not in provided:
-        cfg["train.warmup_steps"] = preset.warmup_steps
+def cmd_train(args, cfg) -> int:
     enc_model = load_bpe(args.enc_bpe)
     dec_model = load_bpe(args.dec_bpe)
     train_set = load_examples(os.path.join(args.corpus, "train.examples"))
     valid_set = load_examples(os.path.join(args.corpus, "valid.examples"))
-    if not valid_set:
-        raise ValueError("validation set is empty")
+    for name, examples in (("training", train_set), ("validation", valid_set)):
+        if not examples:
+            raise ValueError(f"{name} set is empty")
     tcfg = _section(cfg, "train", seed=args.seed)
     mcfg = _section(cfg, "model", enc_vocab=enc_model.vocab_size, dec_vocab=dec_model.vocab_size)
     params = build(mcfg, args.seed)
@@ -448,7 +429,7 @@ def cmd_train(args, cfg, provided) -> int:
     return 0
 
 
-def cmd_generate(args, cfg, provided) -> int:
+def cmd_generate(args, cfg) -> int:
     enc_model = load_bpe(args.enc_bpe)
     dec_model = load_bpe(args.dec_bpe)
     params = load_checkpoint(args.model)
@@ -476,7 +457,7 @@ def cmd_generate(args, cfg, provided) -> int:
     return 0
 
 
-def cmd_evaluate(args, cfg, provided) -> int:
+def cmd_evaluate(args, cfg) -> int:
     hyps = _read_lines(args.hyp)
     refs = _read_lines(args.ref)
     report = evaluation.bleu(hyps, refs, tokenize=cfg["eval.tokenize"])
@@ -488,7 +469,7 @@ def cmd_evaluate(args, cfg, provided) -> int:
     return 0
 
 
-def cmd_overlap_stats(args, cfg, provided) -> int:
+def cmd_overlap_stats(args, cfg) -> int:
     # flag shape problems are usage errors; surface them before any file IO
     target_paths = _lang_file_map(args.target, "--target")
     bleus: dict[str, float] = {}
@@ -516,7 +497,7 @@ def cmd_overlap_stats(args, cfg, provided) -> int:
     return 0
 
 
-def cmd_human_eval_sheet(args, cfg, provided) -> int:
+def cmd_human_eval_sheet(args, cfg) -> int:
     scored = evaluation.score_sentences(_read_lines(args.hyp), _read_lines(args.ref))
     rows = evaluation.human_eval_sample(
         scored,
@@ -537,12 +518,16 @@ def cmd_human_eval_sheet(args, cfg, provided) -> int:
     return 0
 
 
-def cmd_attention_dump(args, cfg, provided) -> int:
+def cmd_attention_dump(args, cfg) -> int:
     enc_model = load_bpe(args.enc_bpe)
     dec_model = load_bpe(args.dec_bpe)
     params = load_checkpoint(args.model)
     bcfg = _section(cfg, "beam")
     check_max_len(params, bcfg.max_len)
+    for flag, index, n in (("--layer", args.layer, params.config.dec_layers),
+                           ("--head", args.head, params.config.n_heads)):
+        if index is not None and not -n <= index < n:
+            raise ValueError(f"{flag} {index} outside {-n}..{n - 1}")
     lins = read_linearized(args.input, args.features or args.input + ".feat")
     if not 0 <= args.line < len(lins):
         raise ValueError(f"--line {args.line} outside input range 0..{len(lins) - 1}")
@@ -640,7 +625,6 @@ def build_parser() -> _Parser:
     p.add_argument("--encoder-ckpt")
     p.add_argument("--decoder-ckpt")
     p.add_argument("--embeddings")
-    setting(p, "--preset", "train.preset")
     setting(p, "--updates", "train.max_updates")
 
     p = add("generate", cmd_generate, "beam-search decode linearized graphs")
@@ -696,12 +680,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg, provided = resolve_config(args)
+        cfg = resolve_config(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
-        return args.func(args, cfg, provided)
+        return args.func(args, cfg)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

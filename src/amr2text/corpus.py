@@ -70,25 +70,14 @@ class ManifestEntry:
     split: str
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    entries: tuple[ManifestEntry, ...]
-    derive_n: int = 1000
-
-
-def load_manifest(path, derive_n: int = 1000) -> DatasetManifest:
-    """Tab-separated lines "lang<TAB>amr<TAB>text<TAB>split"; a comment line
-    "#derive_n=K" overrides the carve size."""
+def load_manifest(path) -> tuple[ManifestEntry, ...]:
+    """Tab-separated lines "lang<TAB>amr<TAB>text<TAB>split"; lines starting
+    with "#" are comments."""
     entries: list[ManifestEntry] = []
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                directive = line[1:].replace(" ", "")
-                if directive.startswith("derive_n="):
-                    derive_n = int(directive.split("=", 1)[1])
+            if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 4:
@@ -102,7 +91,7 @@ def load_manifest(path, derive_n: int = 1000) -> DatasetManifest:
             amr_file = amr_file if os.path.isabs(amr_file) else os.path.join(base, amr_file)
             text_file = text_file if os.path.isabs(text_file) else os.path.join(base, text_file)
             entries.append(ManifestEntry(lang, amr_file, text_file, split))
-    return DatasetManifest(entries=tuple(entries), derive_n=derive_n)
+    return tuple(entries)
 
 
 def encode_linearized(
@@ -151,11 +140,11 @@ class IngestResult:
 
 
 def ingest(
-    manifest: DatasetManifest, enc_model: BpeModel, dec_model: BpeModel
+    entries: tuple[ManifestEntry, ...], enc_model: BpeModel, dec_model: BpeModel
 ) -> IngestResult:
     """Read every manifest entry; unparseable AMR lines are dropped and counted."""
     result = IngestResult()
-    for entry in manifest.entries:
+    for entry in entries:
         with open(entry.amr_file, encoding="utf-8") as f:
             amr_lines = f.read().splitlines()
         with open(entry.text_file, encoding="utf-8") as f:

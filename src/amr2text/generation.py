@@ -45,14 +45,14 @@ class LengthMismatch(ValueError):
 
 @dataclass(frozen=True)
 class BeamConfig:
-    beam_size: int = 5
-    length_penalty_alpha: float = 1.0
+    size: int = 5
+    alpha: float = 1.0
     max_len: int = 64
     min_len: int = 1
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
+        if self.size < 1:
+            raise ValueError("beam size must be >= 1")
         if not self.max_len >= self.min_len >= 1:
             raise ValueError("require max_len >= min_len >= 1")
 
@@ -123,11 +123,11 @@ def beam_search(
 ) -> tuple[Hypothesis, list[Hypothesis]]:
     """Length-normalized beam search over one encoder input.
 
-    Returns (best hypothesis by score, n-best list of size <= beam_size,
+    Returns (best hypothesis by score, n-best list of size <= cfg.size,
     deduplicated by id sequence, sorted by score descending).
     """
     check_max_len(params, cfg.max_len)
-    alpha = cfg.length_penalty_alpha
+    alpha = cfg.alpha
     with no_grad():
         memory, memory_mask = encode(params, enc_input)
         state = DecoderState(params, memory, memory_mask, bos_id)
@@ -146,7 +146,7 @@ def beam_search(
             if n_generated + 1 >= cfg.max_len:
                 break  # budget exhausted: every live beam was forced to eos
             totals[:, eos_id] = -np.inf
-            picked = top_candidates(totals, live, cfg.beam_size)
+            picked = top_candidates(totals, live, cfg.size)
             if not picked:
                 break
             rows = np.asarray([row for row, _ in picked])
@@ -163,7 +163,7 @@ def beam_search(
         if h.ids not in seen:
             seen.add(h.ids)
             nbest.append(h)
-        if len(nbest) >= cfg.beam_size:
+        if len(nbest) >= cfg.size:
             break
     return nbest[0], nbest
 

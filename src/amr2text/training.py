@@ -10,7 +10,7 @@ one with minimum validation loss, ties broken by the earlier step.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +48,6 @@ class TrainConfig:
     base_lr: float = 0.001
     warmup_steps: int = 4000
     max_updates: int = 100000
-    adam_betas: tuple[float, float] = (0.9, 0.98)
-    adam_eps: float = 1e-9
-    weight_decay: float = 0.0
     label_smoothing: float = 0.1
     dropout: float = 0.1
     layerdrop: float = 0.1
@@ -72,16 +69,6 @@ class TrainConfig:
             raise ValueError("max_updates and checkpoint_every must be >= 1")
 
 
-def fresh_preset(**overrides) -> TrainConfig:
-    """Recipe for training from random initialization."""
-    return replace(TrainConfig(base_lr=0.001, warmup_steps=4000), **overrides)
-
-
-def pretrained_preset(**overrides) -> TrainConfig:
-    """Recipe for fine-tuning from pretrained weights: lower peak, longer warmup."""
-    return replace(TrainConfig(base_lr=0.0001, warmup_steps=8000), **overrides)
-
-
 def lr_at(step: int, cfg: TrainConfig) -> float:
     """base_lr * min(step^-1/2, step * warmup^-3/2); peak at step = warmup."""
     if step < 1:
@@ -89,20 +76,21 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * min(step**-0.5, step * cfg.warmup_steps**-1.5)
 
 
-class Adam:
-    """Adam over a fixed parameter list, with optional decoupled weight decay."""
+ADAM_BETAS = (0.9, 0.98)
+ADAM_EPS = 1e-9
 
-    def __init__(self, params: list[Tensor], cfg: TrainConfig):
+
+class Adam:
+    """Adam over a fixed parameter list."""
+
+    def __init__(self, params: list[Tensor]):
         self.params = params
-        self.betas = cfg.adam_betas
-        self.eps = cfg.adam_eps
-        self.weight_decay = cfg.weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self, lr: float) -> None:
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         self.t += 1
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
@@ -110,13 +98,11 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             mhat = self.m[i] / bias1
             vhat = self.v[i] / bias2
-            p.data -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
+            p.data -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.data.dtype)
 
 
 def save_trainer_state(path, step: int, opt: Adam) -> None:
@@ -224,7 +210,7 @@ def run_updates(
     """
     cfg.validate()
     rng = Rng(cfg.seed)
-    opt = optimizer or Adam(params.parameters(), cfg)
+    opt = optimizer or Adam(params.parameters())
     log: list[tuple[int, float, float, float | None]] = []
     best: tuple[float, int, ModelParams] | None = None
     # Batch counts can differ between epochs (reshuffled packing), so the

@@ -275,7 +275,7 @@ def bilingual_overfit():
     )
     train_s = time.perf_counter() - t0
     model = result.final_params
-    beam_cfg = BeamConfig(beam_size=5, length_penalty_alpha=1.0, max_len=32)
+    beam_cfg = BeamConfig(size=5, alpha=1.0, max_len=32)
     enc_inputs = [
         EncoderInput(
             piece_ids=np.asarray(ex.src_ids),
@@ -379,7 +379,7 @@ def test_c07_beam_exactness_and_dominance_50_models():
         params = _toy_decoder(seed)
         enc = _toy_input(rng)
         full = BeamConfig(
-            beam_size=vocab ** max_len, length_penalty_alpha=1.0,
+            size=vocab ** max_len, alpha=1.0,
             max_len=max_len, min_len=1,
         )
         best, _ = beam_search(params, enc, full, BOS, EOS)
@@ -397,7 +397,7 @@ def test_c07_beam_exactness_and_dominance_50_models():
             step, BOS, EOS, vocab, max_len, alpha=1.0
         )
         exact += best.ids == ids and abs(best.score - score) < 1e-6
-        five = BeamConfig(beam_size=5, length_penalty_alpha=0.0, max_len=6)
+        five = BeamConfig(size=5, alpha=0.0, max_len=6)
         b5, _ = beam_search(params, enc, five, BOS, EOS)
         g = greedy(params, enc, max_len=6, bos_id=BOS, eos_id=EOS)
         dominant += b5.score >= g.score - 1e-9

@@ -7,6 +7,7 @@ evaluate, attention-dump) runs here on data/toy with a tiny model and a few upda
 
 import argparse
 import os
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -150,18 +151,18 @@ DEFAULT_KEY_TYPES = {
     "sheet.min_words": int, "sheet.n_high": int, "sheet.n_low": int,
     "train.base_lr": float, "train.checkpoint_every": int, "train.dropout": float,
     "train.label_smoothing": float, "train.layerdrop": float,
-    "train.max_tokens_per_batch": int, "train.max_updates": int, "train.preset": str,
-    "train.warmup_steps": int, "train.weight_decay": float,
+    "train.max_tokens_per_batch": int, "train.max_updates": int,
+    "train.warmup_steps": int,
 }
 
 
 def test_default_keys_and_types_are_pinned():
-    assert len(DEFAULT_KEY_TYPES) == 40
+    assert len(DEFAULT_KEY_TYPES) == 38
     assert {key: type(value) for key, value in DEFAULTS.items()} == DEFAULT_KEY_TYPES
 
 
 @pytest.mark.parametrize(
-    "key,value", [("train.preset", "bogus"), ("corpus.split_mode", "nope")]
+    "key,value", [("corpus.split_mode", "nope")]
 )
 def test_bad_choice_rejected_before_any_work(tmp_path, monkeypatch, capsys, key, value):
     def no_work(*args, **kwargs):
@@ -401,7 +402,7 @@ def _library_beam(paths, line: int, beam: int):
     lin = read_linearized(paths["test_lin"], paths["test_lin"] + ".feat")[line]
     ids, depth, sub = encode_linearized(lin, enc)
     enc_in = EncoderInput(np.asarray(ids), np.asarray(depth), np.asarray(sub))
-    cfg = BeamConfig(beam_size=beam, max_len=MAX_LEN, min_len=DEFAULTS["beam.min_len"])
+    cfg = BeamConfig(size=beam, max_len=MAX_LEN, min_len=DEFAULTS["beam.min_len"])
     best, _ = beam_search(load_checkpoint(paths["model"]), enc_in, cfg, dec.bos_id, dec.eos_id)
     return best, ids, dec
 
@@ -536,6 +537,89 @@ def test_pretraining_log_streams_and_rerun_overwrites(quickstart, command):
     assert list(header) == [f.name for f in fields(ModelConfig)]
 
 
+@pytest.mark.parametrize("index", [["--layer", "1"], ["--layer", "-2"], ["--head", "2"],
+                                   ["--head", "-3"]], ids="=".join)
+def test_attention_dump_index_outside_model_exits_2_before_decoding(quickstart, index,
+                                                                    monkeypatch):
+    """The quickstart model has one decoder layer and two heads."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("decoded a line for a layer or head the model lacks")
+
+    monkeypatch.setattr(cli, "beam_search", no_search)
+    out = quickstart["w"] / f"attn{''.join(index)}"
+    argv = ["attention-dump", "--model", quickstart["model"], "--input", quickstart["test_lin"],
+            "--enc-bpe", quickstart["enc_bpe"], "--dec-bpe", quickstart["dec_bpe"],
+            "--max-len", str(MAX_LEN), *index, "--out-dir", str(out)]
+    assert run(*argv) == 2
+    assert not out.exists()
+
+
+def test_attention_dump_accepts_negative_layer_and_head(quickstart):
+    out = quickstart["w"] / "attn-negative"
+    assert run("attention-dump", "--model", quickstart["model"],
+               "--input", quickstart["test_lin"], "--enc-bpe", quickstart["enc_bpe"],
+               "--dec-bpe", quickstart["dec_bpe"], "--max-len", str(MAX_LEN),
+               "--layer", "-1", "--head", "-2", "--out-dir", str(out)) == 0
+    assert (out / "attention.tsv").exists()
+
+
+@pytest.mark.parametrize("case", ["train", "valid", "pretrain-encoder"])
+def test_empty_training_data_exits_2_before_work(quickstart, case, tmp_path):
+    """An empty train.examples or valid.examples, or an --amr file with no graphs."""
+    w = quickstart["w"]
+    if case == "pretrain-encoder":
+        amr = tmp_path / "empty.amr"
+        amr.write_text("# no graphs here\n\n", encoding="utf-8")
+        argv = ["pretrain-encoder", "--amr", str(amr), "--bpe", quickstart["enc_bpe"]]
+    else:
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("train", "valid"):
+            examples = b"" if name == case else (w / "corpus" / f"{name}.examples").read_bytes()
+            (corpus / f"{name}.examples").write_bytes(examples)
+        argv = ["train", "--corpus", str(corpus), "--enc-bpe", quickstart["enc_bpe"],
+                "--dec-bpe", quickstart["dec_bpe"]]
+    out = tmp_path / "out"
+    assert run(*argv, "--seed", "1", "--config", str(w / "train.cfg"), "--out-dir", str(out)) == 2
+    assert not out.exists()
+
+
+def test_finetune_from_pretrained_checkpoints(quickstart, tmp_path):
+    """train --encoder-ckpt/--decoder-ckpt loads both halves and keeps the
+    configured learning-rate schedule: with no LR keys, the defaults."""
+    w = quickstart["w"]
+    arch = "".join(line for line in TINY_MODEL.splitlines(True) if line.startswith("model."))
+    (tmp_path / "arch.cfg").write_text(arch, encoding="utf-8")
+    tiny = ["--seed", "1", "--config", str(tmp_path / "arch.cfg"), "--updates", "1"]
+    assert run("pretrain-encoder", "--amr", f"{TOY}/train.amr", "--bpe", quickstart["enc_bpe"],
+               "--rounds", "1", *tiny, "--out-dir", str(tmp_path / "enc-pre")) == 0
+    assert run("pretrain-decoder", "--text", f"en={TOY}/train.en.txt",
+               "--bpe", quickstart["dec_bpe"], *tiny, "--out-dir", str(tmp_path / "dec-pre")) == 0
+    enc_ckpt = str(tmp_path / "enc-pre" / "encoder.ckpt")
+    dec_ckpt = str(tmp_path / "dec-pre" / "decoder.ckpt")
+    out = tmp_path / "run"
+    assert run("train", "--corpus", str(w / "corpus"), "--enc-bpe", quickstart["enc_bpe"],
+               "--dec-bpe", quickstart["dec_bpe"], "--encoder-ckpt", enc_ckpt,
+               "--decoder-ckpt", dec_ckpt, *tiny, "--out-dir", str(out)) == 0
+    names = list(load_checkpoint(out / "final.ckpt").tensors)
+    n_enc = sum(name.startswith("enc") for name in names)
+    n_dec = sum(name.startswith("dec") for name in names)
+    assert n_enc and n_dec
+    report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert report[:2] == [f"enc: {n_enc} tensors from {enc_ckpt}",
+                          f"dec: {n_dec} tensors from {dec_ckpt}"]
+    echoed = _read_config(out)
+    for key in ("train.base_lr", "train.warmup_steps"):
+        assert echoed[key] == str(DEFAULTS[key])
+
+
+def test_readme_lists_the_keys_no_dataclass_holds():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("The keys no dataclass holds are", 1)[1].strip().split("\n\n", 1)[0]
+    dataclass_keys = {key for section in cli.SECTIONS for _, key in cli._keyed_fields(section)}
+    assert set(re.findall(r"`(\w+\.\w+)`", listed)) == set(DEFAULTS) - dataclass_keys
+
+
 # (subcommand, flag arguments, config key, echoed value): every dedicated flag.
 FLAGS = [
     ("train-bpe", ["--merges", "7"], "bpe.merges", "7"),
@@ -550,7 +634,6 @@ FLAGS = [
     ("pretrain-encoder", ["--updates", "2"], "train.max_updates", "2"),
     ("pretrain-decoder", ["--updates", "2"], "train.max_updates", "2"),
     ("train", ["--updates", "2"], "train.max_updates", "2"),
-    ("train", ["--preset", "pretrained"], "train.preset", "pretrained"),
     ("generate", ["--beam", "2"], "beam.size", "2"),
     ("generate", ["--alpha", "0.5"], "beam.alpha", "0.5"),
     ("generate", ["--max-len", "9"], "beam.max_len", "9"),

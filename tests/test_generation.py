@@ -98,7 +98,7 @@ def test_hypothesis_generated_strips_bos_eos():
 
 def test_beam_config_validation():
     with pytest.raises(ValueError):
-        BeamConfig(beam_size=0)
+        BeamConfig(size=0)
     with pytest.raises(ValueError):
         BeamConfig(max_len=2, min_len=3)
 
@@ -109,7 +109,7 @@ def test_exhaustive_beam_matches_oracle_on_random_models():
         params = tiny_model(dec_vocab=vocab, seed=seed)
         enc = one_input([3, 4, 5])
         cfg = BeamConfig(
-            beam_size=vocab**max_len, length_penalty_alpha=1.0,
+            size=vocab**max_len, alpha=1.0,
             max_len=max_len, min_len=1,
         )
         best, nbest = beam_search(params, enc, cfg, BOS, EOS)
@@ -171,7 +171,7 @@ def test_decoding_feeds_one_position_per_live_beam(monkeypatch):
     params = tiny_model(seed=6)
     cfg = params.config
     source = [3, 4, 5, 6]
-    beam = BeamConfig(beam_size=3, max_len=8, min_len=8)
+    beam = BeamConfig(size=3, max_len=8, min_len=8)
     beam_search(params, one_input(source), beam, BOS, EOS)
     encoder = [s for s in shapes if s[1] == len(source)]
     steps = [s for s in shapes if s[1] != len(source)]
@@ -179,7 +179,7 @@ def test_decoding_feeds_one_position_per_live_beam(monkeypatch):
     assert len(encoder) == 2 * cfg.enc_layers + 1
     per_step = 3 * cfg.dec_layers + 1
     assert len(steps) == beam.max_len * per_step
-    assert all(s[1] == 1 and 1 <= s[0] <= beam.beam_size for s in steps)
+    assert all(s[1] == 1 and 1 <= s[0] <= beam.size for s in steps)
 
 
 def test_max_len_beyond_positions_rejected_before_encoding(monkeypatch):
@@ -192,11 +192,11 @@ def test_max_len_beyond_positions_rejected_before_encoding(monkeypatch):
     params = tiny_model(max_positions=8)
     enc = one_input([3, 4])
     with pytest.raises(PrefixTooLong):
-        beam_search(params, enc, BeamConfig(beam_size=2, max_len=9), BOS, EOS)
+        beam_search(params, enc, BeamConfig(size=2, max_len=9), BOS, EOS)
     with pytest.raises(PrefixTooLong):
         greedy(params, enc, max_len=9, bos_id=BOS, eos_id=EOS)
     monkeypatch.undo()
-    best, _ = beam_search(params, enc, BeamConfig(beam_size=2, max_len=8, min_len=8), BOS, EOS)
+    best, _ = beam_search(params, enc, BeamConfig(size=2, max_len=8, min_len=8), BOS, EOS)
     assert len(best.ids) == 9
     assert len(greedy(params, enc, max_len=8, bos_id=BOS, eos_id=EOS).ids) <= 9
 
@@ -205,7 +205,7 @@ def test_beam_score_at_least_greedy_raw_logprob():
     for seed in range(6):
         params = tiny_model(seed=seed + 20)
         enc = one_input([3, 4])
-        cfg = BeamConfig(beam_size=5, length_penalty_alpha=0.0, max_len=6)
+        cfg = BeamConfig(size=5, alpha=0.0, max_len=6)
         best, _ = beam_search(params, enc, cfg, BOS, EOS)
         g = greedy(params, enc, max_len=6, bos_id=BOS, eos_id=EOS)
         assert best.score >= g.score - 1e-9
@@ -223,7 +223,7 @@ def test_min_len_blocks_early_eos():
     for seed in range(4):
         params = tiny_model(seed=seed)
         enc = one_input([3])
-        cfg = BeamConfig(beam_size=3, max_len=8, min_len=4)
+        cfg = BeamConfig(size=3, max_len=8, min_len=4)
         best, nbest = beam_search(params, enc, cfg, BOS, EOS)
         for h in nbest:
             assert len(h.ids) - 1 >= 4  # eos included in generated length
@@ -233,7 +233,7 @@ def test_max_len_is_hard_budget():
     for seed in range(4):
         params = tiny_model(seed=seed + 9)
         enc = one_input([3, 4])
-        cfg = BeamConfig(beam_size=4, max_len=3)
+        cfg = BeamConfig(size=4, max_len=3)
         best, nbest = beam_search(params, enc, cfg, BOS, EOS)
         for h in nbest:
             assert len(h.ids) - 1 <= 3
@@ -246,7 +246,7 @@ def test_beam_one_is_greedy_path():
     # the same prefix decisions
     params = tiny_model(seed=13)
     enc = one_input([4, 5])
-    cfg = BeamConfig(beam_size=1, length_penalty_alpha=0.0, max_len=6)
+    cfg = BeamConfig(size=1, alpha=0.0, max_len=6)
     best, _ = beam_search(params, enc, cfg, BOS, EOS)
     g = greedy(params, enc, max_len=6, bos_id=BOS, eos_id=EOS)
     assert best.score >= g.score - 1e-9
@@ -255,7 +255,7 @@ def test_beam_one_is_greedy_path():
 def test_deterministic_decoding():
     params = tiny_model(seed=2)
     enc = one_input([3, 4, 5])
-    cfg = BeamConfig(beam_size=4, max_len=6)
+    cfg = BeamConfig(size=4, max_len=6)
     a, na = beam_search(params, enc, cfg, BOS, EOS)
     b, nb = beam_search(params, enc, cfg, BOS, EOS)
     assert a == b and na == nb
@@ -264,7 +264,7 @@ def test_deterministic_decoding():
 def test_cross_attention_matrix_shape_and_rows():
     params = tiny_model(seed=3)
     enc = one_input([3, 4, 5, 6])
-    cfg = BeamConfig(beam_size=3, max_len=5)
+    cfg = BeamConfig(size=3, max_len=5)
     best, _ = beam_search(params, enc, cfg, BOS, EOS)
     m = cross_attention_matrix(params, enc, best)
     assert m.shape == (len(best.ids) - 1, 4)
@@ -277,7 +277,7 @@ def test_cross_attention_matrix_shape_and_rows():
 def test_attention_dump_round_trip(tmp_path):
     params = tiny_model(seed=5)
     enc = one_input([3, 4, 5])
-    cfg = BeamConfig(beam_size=3, max_len=5)
+    cfg = BeamConfig(size=3, max_len=5)
     best, _ = beam_search(params, enc, cfg, BOS, EOS)
     cols = ["(", "x", ")"]
     rows = [f"p{i}" for i in range(len(best.ids) - 1)]
@@ -291,7 +291,7 @@ def test_attention_dump_round_trip(tmp_path):
 def test_attention_dump_label_mismatch(tmp_path):
     params = tiny_model(seed=5)
     enc = one_input([3, 4, 5])
-    best, _ = beam_search(params, enc, BeamConfig(beam_size=2, max_len=4), BOS, EOS)
+    best, _ = beam_search(params, enc, BeamConfig(size=2, max_len=4), BOS, EOS)
     with pytest.raises(LengthMismatch):
         attention_dump(params, enc, best, ["a", "b"], ["x"], tmp_path / "x.tsv")
     with pytest.raises(LengthMismatch):

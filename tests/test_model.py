@@ -29,7 +29,7 @@ from amr2text.model import (
     save_checkpoint,
     write_arrays,
 )
-from amr2text.training import Adam, TrainConfig, load_trainer_state
+from amr2text.training import Adam, load_trainer_state
 
 TINY = ModelConfig(
     enc_vocab=23,
@@ -285,7 +285,7 @@ def test_reader_rejects_files_that_do_not_fit(tmp_path, params, case):
         arrays = {"m.0": np.zeros(shape)}
         if case == "state shapes":
             arrays["v.0"] = np.zeros(shape)
-        opt = Adam([T.Tensor(np.zeros(5), requires_grad=True)], TrainConfig())
+        opt = Adam([T.Tensor(np.zeros(5), requires_grad=True)])
         load = lambda path: load_trainer_state(path, opt)  # noqa: E731
     path = tmp_path / "bad.ckpt"
     write_arrays(path, header, arrays.items())
