@@ -1,0 +1,137 @@
+"""Bit tripwire for the decoder: training, LM pretraining and decoding.
+
+Pins SHA-256 digests of a tiny model's parameters after seq2seq training
+and after LM pretraining (both at dropout 0.1 and layerdrop 0.3, so some
+updates skip layers and their cross-attention), and of beam, greedy and
+cross-attention output on 8 inputs.  The digests hold for the numpy
+version and BLAS build in ``PINNED_ENV``; elsewhere the test compares the
+pinned losses and log-probabilities within 1e-5 and says so.
+"""
+
+import dataclasses
+import hashlib
+import warnings
+
+import numpy as np
+import pytest
+
+from amr2text.bpe import train_bpe
+from amr2text.corpus import ParallelExample
+from amr2text.generation import BeamConfig, beam_search, cross_attention_matrix, greedy
+from amr2text.model import EncoderInput, ModelConfig, build
+from amr2text.pretraining import pretrain_decoder
+from amr2text.training import TrainConfig, train
+
+PINNED_ENV = (
+    "2.4.6",
+    "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64",
+)
+TRAIN_CFG = TrainConfig(base_lr=0.01, warmup_steps=4, max_updates=12, dropout=0.1,
+                        layerdrop=0.3, seed=5, checkpoint_every=4, max_tokens_per_batch=40)
+CFG = ModelConfig(enc_vocab=17, dec_vocab=13, d_model=16, n_heads=2, ffn_dim=24,
+                  enc_layers=2, dec_layers=3, max_positions=24, d_word=6, d_pos=4,
+                  d_depth=3, d_subgraph=3)
+BOS, EOS = 1, 2
+
+
+def _env() -> tuple[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return np.__version__, blas.get("openblas configuration", blas.get("name", ""))
+
+
+def _examples(n: int, seed: int) -> list[ParallelExample]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        slen, tlen = int(rng.integers(3, 8)), int(rng.integers(2, 6))
+        src = tuple(rng.integers(5, CFG.enc_vocab, slen).tolist())
+        depth = tuple(rng.integers(0, 4, slen).tolist())
+        tgt = (BOS,) + tuple(rng.integers(5, CFG.dec_vocab, tlen).tolist()) + (EOS,)
+        out.append(ParallelExample(src, depth, depth[::-1], tgt, "en"))
+    return out
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return h.hexdigest()
+
+
+def _params_digest(params) -> str:
+    return _digest(*(t.data for _, t in params.named()))
+
+
+def _check(name: str, digest: str, values: list[float]) -> None:
+    want_digest, want_values = PINNED[name]
+    if _env() == PINNED_ENV:
+        assert digest == want_digest, f"{name}: bits moved ({digest})"
+        return
+    np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-5, err_msg=name)
+    message = f"{name}: bits not compared on numpy/BLAS {_env()}; values agree within 1e-5"
+    print(message)
+    warnings.warn(message)
+
+
+@pytest.fixture(scope="module")
+def trained():
+    params = build(CFG, seed=3)
+    result = train(params, _examples(24, 0), _examples(6, 1), TRAIN_CFG, pad_id=0)
+    return params, result.log
+
+
+def test_seq2seq_training_bits(trained):
+    params, log = trained
+    _check("train", _digest(_params_digest(params), log), [row[2] for row in log])
+
+
+def test_lm_pretraining_bits():
+    dec = train_bpe(["the cat sat", "der hund lief", "the dog ran"], 30,
+                    languages=frozenset({"en", "de"}))
+    corpora = {"en": ["the cat sat", "the dog ran", "a cat ran"], "de": ["der hund lief"]}
+    cfg = TrainConfig(base_lr=0.01, warmup_steps=4, max_updates=12, dropout=0.1,
+                      layerdrop=0.3, seed=2, max_tokens_per_batch=20)
+    params = build(dataclasses.replace(CFG, dec_vocab=dec.vocab_size), seed=4)
+    _, perplexities, log = pretrain_decoder(params, corpora, dec, cfg)
+    digest = _digest(_params_digest(params), log, sorted(perplexities.items()))
+    _check("lm", digest, [row[2] for row in log])
+
+
+def test_decoding_bits(trained):
+    params, _ = trained
+    parts, values = [], []
+    for ex in _examples(8, 2):
+        enc_in = EncoderInput(*(np.asarray(a) for a in (ex.src_ids, ex.src_depth_ids,
+                                                         ex.src_subgraph_ids)))
+        for alpha in (0.0, 1.0):
+            _, nbest = beam_search(params, enc_in, BeamConfig(5, alpha, 10, 4), BOS, EOS)
+            parts.append([(h.ids, h.logprob, h.score) for h in nbest])
+            values.append(nbest[0].logprob)
+        best = greedy(params, enc_in, 10, BOS, EOS)
+        parts += [(best.ids, best.logprob), cross_attention_matrix(params, enc_in, best)]
+        values.append(best.logprob)
+    _check("decode", _digest(*parts), values)
+
+
+# Digests and values taken with numpy 2.4.6 and OpenBLAS 0.3.31 on one
+# thread, on x86-64.  Values are the training losses, the LM losses, and
+# per input the beam best log-probability at alpha 0 and 1 and greedy's.
+PINNED = {
+    "train": (
+        "f264d69ef263b0ead108b53a6a7f9878a2f70c33778452f30d16e0f2465f12fe",
+        [2.9441376, 2.9168656, 2.8004937, 2.6166902, 2.6479614, 2.6943078,
+         2.6225045, 2.53929, 2.6675751, 2.6078053, 2.4944727, 2.3289957],
+    ),
+    "lm": (
+        "3971b1005a1e5aee70a32f2bc362702ece3add8e4adb25bdaa3d8f0537dfb163",
+        [3.7949767, 3.9275277, 3.6654236, 3.8718841, 3.3857105, 4.0451326,
+         3.6139035, 3.3205397, 3.8581305, 3.311269, 3.2557714, 3.4564435],
+    ),
+    "decode": (
+        "79a6a640b1fd522bd052422e773adcb46acc8574a635242b6efafbe075b3a40f",
+        [-7.1077576, -7.1077576, -17.1401062, -7.2893233, -7.2893233, -17.4863588,
+         -6.9672794, -6.9672794, -17.4613372, -7.3534822, -7.3534822, -18.3984994,
+         -7.476109, -7.476109, -18.102507, -7.5535984, -7.5535984, -18.2313972,
+         -7.5524817, -7.5524817, -18.0551082, -7.4169016, -7.4169016, -18.1309566],
+    ),
+}
