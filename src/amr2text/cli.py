@@ -360,6 +360,9 @@ def cmd_pretrain_decoder(args, cfg) -> int:
         lang: _read_lines(path)
         for lang, path in _lang_file_map(args.text, "--text").items()
     }
+    for lang, lines in corpora.items():
+        if not lines:
+            raise ValueError(f"no monolingual lines for {lang!r}")
     tcfg = _section(cfg, "train", seed=args.seed)
     mcfg = _section(cfg, "model", enc_vocab=dec_model.vocab_size, dec_vocab=dec_model.vocab_size)
     params = build(mcfg, args.seed)
@@ -388,6 +391,8 @@ def cmd_train(args, cfg) -> int:
     for name, examples in (("training", train_set), ("validation", valid_set)):
         if not examples:
             raise ValueError(f"{name} set is empty")
+        for ex in examples:
+            ex.check_target(dec_model.bos_id, dec_model.eos_id)
     tcfg = _section(cfg, "train", seed=args.seed)
     mcfg = _section(cfg, "model", enc_vocab=enc_model.vocab_size, dec_vocab=dec_model.vocab_size)
     params = build(mcfg, args.seed)

@@ -59,7 +59,9 @@ class ParallelExample:
 
     def check_target(self, bos_id: int, eos_id: int) -> None:
         if len(self.tgt_ids) < 2 or self.tgt_ids[0] != bos_id or self.tgt_ids[-1] != eos_id:
-            raise ValueError("target must begin with bos and end with eos")
+            raise ValueError(
+                f"target {self.tgt_ids} must begin with bos {bos_id} and end with eos {eos_id}"
+            )
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,14 @@ logprob, finished ones by score.  A beam that reaches max_len without eos
 is force-finished with eos so the search always returns something.
 
 Beam search and greedy decoding both drive ``model.decode_step``: the
-input is encoded once, cross-attention keys and values are projected once,
-and each step runs the decoder over one new position per live beam, with
-the earlier positions' self-attention keys and values read from a cache
-that follows the surviving beams.  Candidates are picked from the flattened
-beam x vocabulary totals with ``np.argpartition``; every total tied at the
-cut-off is kept and the small pool is sorted by (-logprob, ids), so the
-choice is that of a full sort.
+input is encoded once into one memory row, and each step runs the decoder
+over one new position per live beam; the ``model.DecoderState`` keeps the
+keys and values and follows the surviving beams.  Candidates are picked
+from the flattened beam x vocabulary totals with ``np.argpartition``;
+every total tied at the cut-off is kept and the small pool is sorted by
+(-logprob, ids), so the choice is that of a full sort.  Live prefixes are
+distinct and finished hypotheses from different steps differ in length,
+so no id sequence finishes twice.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def beam_search(
     """Length-normalized beam search over one encoder input.
 
     Returns (best hypothesis by score, n-best list of size <= cfg.size,
-    deduplicated by id sequence, sorted by score descending).
+    sorted by score descending).
     """
     check_max_len(params, cfg.max_len)
     alpha = cfg.alpha
@@ -157,14 +158,7 @@ def beam_search(
     if not finished:
         raise NoHypothesis("no hypothesis reached eos within max_len")
     finished.sort(key=lambda h: (-h.score, h.ids))
-    nbest: list[Hypothesis] = []
-    seen: set[tuple[int, ...]] = set()
-    for h in finished:
-        if h.ids not in seen:
-            seen.add(h.ids)
-            nbest.append(h)
-        if len(nbest) >= cfg.size:
-            break
+    nbest = finished[: cfg.size]
     return nbest[0], nbest
 
 

@@ -9,6 +9,10 @@ matrix is also the output projection (tied); passing ``memory=None`` skips
 cross-attention entirely, which turns the decoder into a causal language
 model for pretraining.  Layers can be dropped whole during training
 (layerdrop).
+
+Every decoder pass is one walk, ``_decode``, over a ``DecoderState``:
+``decoder_forward`` feeds whole prefixes to a fresh state, ``decode_step``
+one position per hypothesis to a state kept across search steps.
 """
 
 from __future__ import annotations
@@ -291,8 +295,7 @@ def _attend(
     if mask is not None:
         scores = T.add(scores, mask.astype(scores.data.dtype))
     weights = T.softmax(scores, axis=-1)
-    attended = T.dropout(weights, rate, gen) if rate > 0.0 else weights
-    ctx = T.reshape(T.swapaxes(T.matmul(attended, v), 1, 2), (b, tq, h * dh))
+    ctx = T.reshape(T.swapaxes(T.matmul(T.dropout(weights, rate, gen), v), 1, 2), (b, tq, h * dh))
     out = T.add(T.matmul(ctx, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
     return out, weights
 
@@ -304,10 +307,6 @@ def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
 
 def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return T.layernorm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
-
-
-def _residual_dropout(x: Tensor, rate: float, gen: np.random.Generator | None) -> Tensor:
-    return T.dropout(x, rate, gen) if rate > 0.0 else x
 
 
 def encode(
@@ -345,7 +344,7 @@ def encode(
         parts.append(T.embed(params["enc_subgraph_emb"], subgraph_ids))
     x = T.add(T.matmul(T.concat_last_dim(parts), params["enc_in_proj"]), params["enc_in_bias"])
     rate = drop.rate if drop else 0.0
-    x = _residual_dropout(x, rate, drop.stream("drop", "enc_in") if drop else None)
+    x = T.dropout(x, rate, drop.stream("drop", "enc_in") if drop else None)
 
     attn_mask = np.where(pad_mask[:, None, None, :], 0.0, NEG_INF)
     keep = _kept_layers(drop, "enc", cfg.enc_layers)
@@ -357,57 +356,72 @@ def encode(
         normed = _ln(params, f"enc.{i}.ln1", x)
         q, k, v = (_heads(params, prefix, w, normed) for w in "qkv")
         attn_out, _ = _attend(params, prefix, q, k, v, attn_mask, rate, gen)
-        x = T.add(x, _residual_dropout(attn_out, rate, gen))
+        x = T.add(x, T.dropout(attn_out, rate, gen))
         ffn_out = _ffn(params, f"enc.{i}.ffn", _ln(params, f"enc.{i}.ln2", x))
-        x = T.add(x, _residual_dropout(ffn_out, rate, gen))
+        x = T.add(x, T.dropout(ffn_out, rate, gen))
     return _ln(params, "enc_final_ln", x), pad_mask
 
 
-def _decoder_input(params: ModelParams, ids: np.ndarray, positions: np.ndarray) -> Tensor:
-    x = T.concat_last_dim(
-        [T.embed(params["dec_word_emb"], ids), T.embed(params["dec_pos_emb"], positions)]
-    )
-    return T.add(T.matmul(x, params["dec_in_proj"]), params["dec_in_bias"])
+class DecoderState:
+    """The keys and values of one decoder pass, or of a whole search.
 
+    Each layer's self-attention keys and values for every position fed so
+    far (rows, H, length, d_head), and its cross-attention ones, projected
+    from the memory the first time the layer asks.  The memory holds one
+    row, broadcast over the fed rows (a beam), or one per fed row (teacher
+    forcing); memory=None runs LM mode."""
 
-def _memory_kv(params: ModelParams, layer: int, memory: Tensor) -> tuple[Tensor, Tensor]:
-    prefix = f"dec.{layer}.cross_attn"
-    return _heads(params, prefix, "k", memory), _heads(params, prefix, "v", memory)
-
-
-class _PrefixKV:
-    """Keys and values for a decoder pass over whole prefixes: nothing cached."""
-
-    def __init__(self, params: ModelParams, memory: Tensor | None):
+    def __init__(
+        self,
+        params: ModelParams,
+        memory: Tensor | None,
+        memory_mask: np.ndarray | None,
+        bos_id: int | None,
+    ):
+        n_layers = params.config.dec_layers
         self.params = params
         self.memory = memory
+        self.bos_id = bos_id
+        self.length = 0
+        self.keys: list[np.ndarray | None] = [None] * n_layers
+        self.values: list[np.ndarray | None] = [None] * n_layers
+        self.cross: list[tuple[Tensor, Tensor] | None] = [None] * n_layers
+        self.cross_mask = None
+        if memory is not None and memory_mask is not None:
+            self.cross_mask = np.where(memory_mask[:, None, None, :], 0.0, NEG_INF)
 
     def self_kv(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        if self.keys[layer] is not None:
+            k = Tensor(np.concatenate([self.keys[layer], k.data], axis=2), dtype=k.data.dtype)
+            v = Tensor(np.concatenate([self.values[layer], v.data], axis=2), dtype=v.data.dtype)
+        self.keys[layer], self.values[layer] = k.data, v.data
         return k, v
 
     def cross_kv(self, layer: int) -> tuple[Tensor, Tensor] | None:
-        return None if self.memory is None else _memory_kv(self.params, layer, self.memory)
+        if self.memory is not None and self.cross[layer] is None:
+            prefix = f"dec.{layer}.cross_attn"
+            self.cross[layer] = tuple(_heads(self.params, prefix, w, self.memory) for w in "kv")
+        return self.cross[layer]
+
+    def reorder(self, rows) -> None:
+        """Keep row ``rows[j]`` as new row j, after at least one step."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.keys = [k[rows] for k in self.keys]
+        self.values = [v[rows] for v in self.values]
 
 
 def _decoder_layers(
     params: ModelParams,
     x: Tensor,
-    kv,
+    state: DecoderState,
     self_mask: np.ndarray | None,
-    cross_mask: np.ndarray | None,
-    drop: Dropout | None = None,
-    collect_attention: bool = False,
+    drop: Dropout | None,
+    collect_attention: bool,
 ) -> tuple[Tensor, list[np.ndarray]]:
-    """The decoder stack from its projected input x to logits.
-
-    ``kv`` supplies attention keys and values: ``kv.self_kv(i, k, v)`` turns
-    layer i's keys and values for the new positions into those of every
-    position the queries see, and ``kv.cross_kv(i)`` gives layer i's
-    projected encoder memory, or None in LM mode.
-    """
+    """The decoder stack from its projected input x to logits."""
     cfg = params.config
     rate = drop.rate if drop else 0.0
-    x = _residual_dropout(x, rate, drop.stream("drop", "dec_in") if drop else None)
+    x = T.dropout(x, rate, drop.stream("drop", "dec_in") if drop else None)
     keep = _kept_layers(drop, "dec", cfg.dec_layers)
     cross_weights: list[np.ndarray] = []
     for i in range(cfg.dec_layers):
@@ -417,27 +431,58 @@ def _decoder_layers(
         prefix = f"dec.{i}.self_attn"
         normed = _ln(params, f"dec.{i}.ln1", x)
         q, k, v = (_heads(params, prefix, w, normed) for w in "qkv")
-        k, v = kv.self_kv(i, k, v)
+        k, v = state.self_kv(i, k, v)
         self_out, _ = _attend(params, prefix, q, k, v, self_mask, rate, gen)
-        x = T.add(x, _residual_dropout(self_out, rate, gen))
-        cross = kv.cross_kv(i)
+        x = T.add(x, T.dropout(self_out, rate, gen))
+        cross = state.cross_kv(i)
         if cross is not None:
             prefix = f"dec.{i}.cross_attn"
             q = _heads(params, prefix, "q", _ln(params, f"dec.{i}.ln2", x))
-            cross_out, weights = _attend(params, prefix, q, *cross, cross_mask, rate, gen)
-            x = T.add(x, _residual_dropout(cross_out, rate, gen))
+            cross_out, weights = _attend(params, prefix, q, *cross, state.cross_mask, rate, gen)
+            x = T.add(x, T.dropout(cross_out, rate, gen))
             if collect_attention:
                 cross_weights.append(weights.data.copy())
         ffn_out = _ffn(params, f"dec.{i}.ffn", _ln(params, f"dec.{i}.ln3", x))
-        x = T.add(x, _residual_dropout(ffn_out, rate, gen))
+        x = T.add(x, T.dropout(ffn_out, rate, gen))
     x = _ln(params, "dec_final_ln", x)
     hidden = T.add(T.matmul(x, params["dec_out_proj"]), params["dec_out_bias"])
     logits = T.matmul(hidden, T.swapaxes(params["dec_word_emb"], 0, 1))
     return logits, cross_weights
 
 
-def _memory_mask(memory_mask: np.ndarray) -> np.ndarray:
-    return np.where(memory_mask[:, None, None, :], 0.0, NEG_INF)
+def _decode(
+    params: ModelParams,
+    state: DecoderState,
+    ids: np.ndarray,
+    drop: Dropout | None = None,
+    collect_attention: bool = False,
+) -> tuple[Tensor, list[np.ndarray]]:
+    """The one decoder pass: ``ids`` (rows, t) are the next t positions of
+    ``state``, which grows by t; each sees itself and every earlier one.
+    The memory must hold one row or ``rows`` rows.  Returns what
+    ``decoder_forward`` returns."""
+    cfg = params.config
+    rows, t = ids.shape
+    if t == 0:
+        raise EmptyInput("decoder prefix has zero length")
+    if state.length + t > cfg.max_positions:
+        raise PrefixTooLong(
+            f"prefix length {state.length + t} exceeds max_positions {cfg.max_positions}"
+        )
+    _check_ids("dec_word_emb", ids, cfg.dec_vocab)
+    if state.memory is not None and state.memory.shape[0] not in (1, rows):
+        n = state.memory.shape[0]
+        raise ValueError(f"memory holds {n} rows for {rows} decoder rows; expected 1 or {rows}")
+    positions = state.length + np.arange(t)
+    x = T.concat_last_dim([T.embed(params["dec_word_emb"], ids),
+                           T.embed(params["dec_pos_emb"], np.broadcast_to(positions, (rows, t)))])
+    x = T.add(T.matmul(x, params["dec_in_proj"]), params["dec_in_bias"])
+    causal = None  # t == 1, every search step: the one new position sees all
+    if t > 1:
+        causal = np.where(np.arange(state.length + t) <= positions[:, None], 0.0, NEG_INF)
+    out = _decoder_layers(params, x, state, causal, drop, collect_attention)
+    state.length += t
+    return out
 
 
 def decoder_forward(
@@ -448,78 +493,17 @@ def decoder_forward(
     drop: Dropout | None = None,
     collect_attention: bool = False,
 ) -> tuple[Tensor, list[np.ndarray]]:
-    """Causal decoder over the whole prefix; memory=None runs LM mode.
+    """Causal decoder over whole prefixes; memory=None runs LM mode.
 
     ``drop`` applies training-mode dropout and layerdrop; None is eval
     mode.  Returns logits (B, T, dec_vocab) and, when requested, each
     layer's cross-attention weights (B, H, T, S) as plain arrays.
     """
-    cfg = params.config
     prefix_ids = np.asarray(prefix_ids)
     if prefix_ids.ndim == 1:
         prefix_ids = prefix_ids[None, :]
-    if prefix_ids.shape[1] == 0:
-        raise EmptyInput("decoder prefix has zero length")
-    if prefix_ids.shape[1] > cfg.max_positions:
-        raise PrefixTooLong(
-            f"prefix length {prefix_ids.shape[1]} exceeds max_positions {cfg.max_positions}"
-        )
-    _check_ids("dec_word_emb", prefix_ids, cfg.dec_vocab)
-    n, t = prefix_ids.shape
-    x = _decoder_input(params, prefix_ids, np.broadcast_to(np.arange(t), (n, t)))
-    causal = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, NEG_INF)[None, None]
-    cross_mask = None if memory is None or memory_mask is None else _memory_mask(memory_mask)
-    return _decoder_layers(
-        params, x, _PrefixKV(params, memory), causal, cross_mask, drop, collect_attention
-    )
-
-
-class DecoderState:
-    """What incremental decoding of one input carries from step to step.
-
-    Each decoder layer's self-attention keys and values for every position
-    fed so far, one row per live hypothesis (rows, H, length, d_head), and
-    its cross-attention keys and values, projected once from the encoder
-    memory and broadcast over the rows.  memory=None runs LM mode.
-    """
-
-    def __init__(
-        self,
-        params: ModelParams,
-        memory: Tensor | None,
-        memory_mask: np.ndarray | None,
-        bos_id: int,
-    ):
-        n_layers = params.config.dec_layers
-        self.bos_id = bos_id
-        self.length = 0
-        self.keys: list[np.ndarray | None] = [None] * n_layers
-        self.values: list[np.ndarray | None] = [None] * n_layers
-        self.cross: list[tuple[Tensor, Tensor]] | None = None
-        self.cross_mask = None
-        if memory is not None:
-            if memory.shape[0] != 1:
-                raise ValueError(f"memory holds {memory.shape[0]} inputs, expected one")
-            with T.no_grad():
-                self.cross = [_memory_kv(params, i, memory) for i in range(n_layers)]
-            if memory_mask is not None:
-                self.cross_mask = _memory_mask(memory_mask)
-
-    def self_kv(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        if self.keys[layer] is not None:
-            k = Tensor(np.concatenate([self.keys[layer], k.data], axis=2), dtype=k.data.dtype)
-            v = Tensor(np.concatenate([self.values[layer], v.data], axis=2), dtype=v.data.dtype)
-        self.keys[layer], self.values[layer] = k.data, v.data
-        return k, v
-
-    def cross_kv(self, layer: int) -> tuple[Tensor, Tensor] | None:
-        return None if self.cross is None else self.cross[layer]
-
-    def reorder(self, rows) -> None:
-        """Keep row ``rows[j]`` as new row j, after at least one step."""
-        rows = np.asarray(rows, dtype=np.int64)
-        self.keys = [k[rows] for k in self.keys]
-        self.values = [v[rows] for v in self.values]
+    state = DecoderState(params, memory, memory_mask, bos_id=None)
+    return _decode(params, state, prefix_ids, drop, collect_attention)
 
 
 def decode_step(params: ModelParams, state: DecoderState, last_ids) -> np.ndarray:
@@ -529,21 +513,13 @@ def decode_step(params: ModelParams, state: DecoderState, last_ids) -> np.ndarra
     the new positions run through the decoder; earlier ones are read from
     ``state``, which grows by one position.
     """
-    cfg = params.config
     ids = np.asarray(last_ids, dtype=np.int64).reshape(-1, 1)
     if state.length == 0 and np.any(ids != state.bos_id):
         raise ValueError("the first decode step must feed the bos id")
-    if state.length >= cfg.max_positions:
-        raise PrefixTooLong(
-            f"prefix length {state.length + 1} exceeds max_positions {cfg.max_positions}"
-        )
-    _check_ids("dec_word_emb", ids, cfg.dec_vocab)
     with T.no_grad():
         # (rows, 1, d) throughout, never (rows, d): a stacked matmul gives
         # each row the same bits however many rows are live.
-        x = _decoder_input(params, ids, np.full_like(ids, state.length))
-        logits, _ = _decoder_layers(params, x, state, None, state.cross_mask)
-    state.length += 1
+        logits, _ = _decode(params, state, ids)
     return logits.data[:, 0, :]
 
 

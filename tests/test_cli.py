@@ -563,14 +563,19 @@ def test_attention_dump_accepts_negative_layer_and_head(quickstart):
     assert (out / "attention.tsv").exists()
 
 
-@pytest.mark.parametrize("case", ["train", "valid", "pretrain-encoder"])
+@pytest.mark.parametrize("case", ["train", "valid", "pretrain-encoder", "pretrain-decoder"])
 def test_empty_training_data_exits_2_before_work(quickstart, case, tmp_path):
-    """An empty train.examples or valid.examples, or an --amr file with no graphs."""
+    """An empty train.examples or valid.examples, an --amr file with no
+    graphs, or an empty --text file."""
     w = quickstart["w"]
     if case == "pretrain-encoder":
         amr = tmp_path / "empty.amr"
         amr.write_text("# no graphs here\n\n", encoding="utf-8")
         argv = ["pretrain-encoder", "--amr", str(amr), "--bpe", quickstart["enc_bpe"]]
+    elif case == "pretrain-decoder":
+        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+        argv = ["pretrain-decoder", "--text", f"en={tmp_path / 'empty.txt'}",
+                "--bpe", quickstart["dec_bpe"]]
     else:
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -581,6 +586,26 @@ def test_empty_training_data_exits_2_before_work(quickstart, case, tmp_path):
                 "--dec-bpe", quickstart["dec_bpe"]]
     out = tmp_path / "out"
     assert run(*argv, "--seed", "1", "--config", str(w / "train.cfg"), "--out-dir", str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["train", "valid"])
+def test_train_rejects_targets_without_bos_before_work(quickstart, case, tmp_path):
+    """Every target of train.examples (or valid.examples) starts with id 7,
+    not the decoder BPE's bos."""
+    w = quickstart["w"]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("train", "valid"):
+        lines = (w / "corpus" / f"{name}.examples").read_text(encoding="utf-8").splitlines()
+        if name == case:  # the target is the last column; its first id is bos
+            lines = [re.sub(r"\t\d+( [^\t]*)$", r"\t7\1", line) for line in lines]
+            assert all(line.split("\t")[-1].startswith("7 ") for line in lines)
+        (corpus / f"{name}.examples").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("train", "--corpus", str(corpus), "--enc-bpe", quickstart["enc_bpe"],
+               "--dec-bpe", quickstart["dec_bpe"], "--seed", "1",
+               "--config", str(w / "train.cfg"), "--out-dir", str(out)) == 2
     assert not out.exists()
 
 

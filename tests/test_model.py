@@ -192,6 +192,19 @@ def test_decode_step_requires_bos(params):
     assert decode_step(params, state, [5]).shape == (1, TINY.dec_vocab)
 
 
+def test_memory_rows_one_or_one_per_decoder_row(params):
+    """One memory row broadcasts over the decoder rows; otherwise each
+    decoder row needs its own, in a whole-prefix pass and step by step."""
+    memory, mask = encode(params, enc_in([[1, 2, 3], [4, 5, 6]]))
+    logits, _ = decoder_forward(params, memory, mask, np.array([[1, 4], [1, 6]]))
+    step = decode_step(params, DecoderState(params, memory, mask, bos_id=1), [1, 1])
+    np.testing.assert_allclose(step, logits.data[:, 0], rtol=0, atol=1e-5)
+    with pytest.raises(ValueError, match="memory holds 2 rows for 3"):
+        decoder_forward(params, memory, mask, np.ones((3, 2), dtype=int))
+    with pytest.raises(ValueError, match="memory holds 2 rows for 3"):
+        decode_step(params, DecoderState(params, memory, mask, bos_id=1), [1, 1, 1])
+
+
 def test_id_range_and_length_errors(params):
     with pytest.raises(IdOutOfRange):
         encode(params, enc_in([[99]]))
