@@ -11,6 +11,8 @@ round-trip.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -113,6 +115,17 @@ def train_bpe(
     Exactly min(num_merges, achievable) merges are made; training stops
     early when no adjacent pair remains.  Pair counts are maintained
     incrementally so each merge touches only the words containing it.
+
+    Each merge pops the top of a lazily invalidated min-heap of entries
+    ``(-count, left + right, birth, pair)``.  A pair takes a new ``birth``
+    each time it enters the live counts, so among pairs with equal count and
+    equal concatenation the one that entered first wins, as the first of
+    them in a scan of the counts in insertion order would.  After a merge,
+    every pair whose count changed and is still live gets a fresh entry;
+    entries whose count or birth no longer match the live pair are
+    discarded when they reach the top, and the heap is rebuilt from the
+    live counts once it holds more than twice as many entries as there are
+    live pairs.
     """
     if num_merges < 0:
         raise ValueError("num_merges must be >= 0")
@@ -132,31 +145,45 @@ def train_bpe(
 
     words: list[list[str]] = [list(_word_symbols(w)) for w in word_freqs]
     freqs: list[int] = list(word_freqs.values())
-    pair_counts: Counter[tuple[str, str]] = Counter()
+    pair_counts: dict[tuple[str, str], int] = {}
+    births: dict[tuple[str, str], int] = {}
     pair_to_words: dict[tuple[str, str], set[int]] = {}
+
+    clock = itertools.count()
+
+    def add(pair: tuple[str, str], f: int, wi: int) -> None:
+        if pair not in pair_counts:
+            pair_counts[pair] = 0
+            births[pair] = next(clock)
+        pair_counts[pair] += f
+        pair_to_words.setdefault(pair, set()).add(wi)
+
     for wi, symbols in enumerate(words):
         for pair in _adjacent_pairs(symbols):
-            pair_counts[pair] += freqs[wi]
-            pair_to_words.setdefault(pair, set()).add(wi)
+            add(pair, freqs[wi], wi)
 
+    def entry(pair: tuple[str, str]) -> tuple:
+        return (-pair_counts[pair], pair[0] + pair[1], births[pair], pair)
+
+    heap = [entry(p) for p in pair_counts]
+    heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
-    for _ in range(num_merges):
-        if not pair_counts:
-            break
-        best_count = max(pair_counts.values())
-        best = min(
-            (p for p, c in pair_counts.items() if c == best_count),
-            key=lambda p: p[0] + p[1],
-        )
+    while len(merges) < num_merges and pair_counts:
+        neg_count, _, birth, best = heapq.heappop(heap)
+        if pair_counts.get(best) != -neg_count or births[best] != birth:
+            continue
         merges.append(best)
         new_symbol = best[0] + best[1]
-        for wi in sorted(pair_to_words.get(best, ())):
+        changed: set[tuple[str, str]] = set()
+        for wi in sorted(pair_to_words[best]):
             old = words[wi]
             f = freqs[wi]
             for pair in _adjacent_pairs(old):
+                changed.add(pair)
                 pair_counts[pair] -= f
                 if pair_counts[pair] <= 0:
                     del pair_counts[pair]
+                    del births[pair]
                 members = pair_to_words.get(pair)
                 if members is not None:
                     members.discard(wi)
@@ -173,8 +200,15 @@ def train_bpe(
                     i += 1
             words[wi] = merged
             for pair in _adjacent_pairs(merged):
-                pair_counts[pair] += f
-                pair_to_words.setdefault(pair, set()).add(wi)
+                changed.add(pair)
+                add(pair, f, wi)
+        if len(heap) > 2 * len(pair_counts):
+            heap = [entry(p) for p in pair_counts]
+            heapq.heapify(heap)
+        else:
+            for pair in changed:
+                if pair in pair_counts:
+                    heapq.heappush(heap, entry(pair))
 
     base_symbols = sorted({s for w in word_freqs for s in _word_symbols(w)})
     vocab: dict[str, int] = {}

@@ -48,6 +48,7 @@ from .model import (
     EncoderInput,
     ModelConfig,
     build,
+    check_encoder_input,
     load_checkpoint,
     save_checkpoint,
 )
@@ -441,7 +442,14 @@ def cmd_generate(args, cfg) -> int:
     bcfg = _section(cfg, "beam")
     check_max_len(params, bcfg.max_len)
     lins = read_linearized(args.input, args.features or args.input + ".feat")
-    lins = [_with_lang(lin, args.lang) for lin in lins]
+    enc_ins = []
+    for lineno, lin in enumerate(lins, start=1):
+        try:
+            enc_in, _ = _encoder_input(_with_lang(lin, args.lang), enc_model)
+            check_encoder_input(params.config, enc_in)
+        except ValueError as err:
+            raise ValueError(f"{args.input}: line {lineno}: {err}") from None
+        enc_ins.append(enc_in)
     _echo_config(
         args.out_dir,
         "generate",
@@ -450,8 +458,7 @@ def cmd_generate(args, cfg) -> int:
     )
     hypotheses: list[str] = []
     scores: list[str] = []
-    for lin in lins:
-        enc_in, _ = _encoder_input(lin, enc_model)
+    for enc_in in enc_ins:
         best, _ = beam_search(params, enc_in, bcfg, dec_model.bos_id, dec_model.eos_id)
         hypotheses.append(bpe_decode(dec_model, best.generated(dec_model.eos_id)))
         scores.append(f"{best.score:.6f}\t{best.logprob:.6f}")

@@ -309,6 +309,21 @@ def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return T.layernorm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
 
 
+def check_encoder_input(cfg: ModelConfig, enc_input: EncoderInput) -> np.ndarray:
+    """Raise unless the encoder can read ``enc_input``: piece ids inside
+    ``enc_vocab``, at least one position and at most ``max_positions``.
+    Returns the piece ids as a (batch, length) array."""
+    piece_ids = _check_ids("enc_word_emb", enc_input.batched().piece_ids, cfg.enc_vocab)
+    if piece_ids.size == 0 or piece_ids.shape[1] == 0:
+        raise EmptyInput("encoder input has zero length")
+    if piece_ids.shape[1] > cfg.max_positions:
+        raise IdOutOfRange(
+            f"enc_pos_emb: input length {piece_ids.shape[1]} exceeds max_positions "
+            f"{cfg.max_positions}"
+        )
+    return piece_ids
+
+
 def encode(
     params: ModelParams,
     enc_input: EncoderInput,
@@ -320,16 +335,10 @@ def encode(
     """
     cfg = params.config
     batch = enc_input.batched()
-    piece_ids = _check_ids("enc_word_emb", batch.piece_ids, cfg.enc_vocab)
-    if piece_ids.size == 0 or piece_ids.shape[1] == 0:
-        raise EmptyInput("encoder input has zero length")
+    piece_ids = check_encoder_input(cfg, batch)
     depth_ids = _bucket("enc_depth_emb", batch.depth_ids, cfg.depth_buckets)
     subgraph_ids = _bucket("enc_subgraph_emb", batch.subgraph_ids, cfg.subgraph_buckets)
     n, t = piece_ids.shape
-    if t > cfg.max_positions:
-        raise IdOutOfRange(
-            f"enc_pos_emb: input length {t} exceeds max_positions {cfg.max_positions}"
-        )
     pad_mask = (
         np.ones((n, t), dtype=bool) if batch.pad_mask is None else batch.pad_mask.astype(bool)
     )

@@ -118,8 +118,9 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-topological gradient sweep from a scalar loss.
 
-        The recorded graph is released afterwards so repeated training
-        steps do not accumulate closures.
+        The recorded graph is released as the sweep goes: once a node's
+        rule has run, its closure and parents are dropped, and so is its
+        gradient unless it is a leaf.  Only leaves keep ``.grad``.
         """
         if self.data.size != 1:
             raise NonScalarLoss(f"loss must be scalar, got shape {self.shape}")
@@ -139,9 +140,12 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = None
             node._backward = None
             node._parents = ()
 

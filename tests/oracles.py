@@ -7,10 +7,19 @@ with the package is evidence rather than tautology.
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
+from amr2text.bpe import (
+    BpeModel,
+    EmptyCorpus,
+    _adjacent_pairs,
+    _word_symbols,
+    special_tokens,
+)
 from amr2text.graph import AmrGraph
+from amr2text.langs import DEFAULT_LANGUAGES
 
 ROLES = (":ARG0", ":ARG1", ":ARG2", ":mod", ":time", ":op1", ":manner")
 CONCEPTS = (
@@ -248,3 +257,102 @@ def exhaustive_best_sequence(
 
     walk((bos_id,), 0.0)
     return best
+
+
+def scan_train_bpe(
+    corpus: Iterable[str],
+    num_merges: int,
+    languages: frozenset[str] = DEFAULT_LANGUAGES,
+    protect_roles: bool = False,
+) -> BpeModel:
+    """The full-scan BPE trainer ``bpe.train_bpe`` replaced, kept verbatim.
+
+    Learn merges greedily by pair frequency, ties to the smallest piece.
+
+    Exactly min(num_merges, achievable) merges are made; training stops
+    early when no adjacent pair remains.  Pair counts are maintained
+    incrementally so each merge touches only the words containing it.
+    """
+    if num_merges < 0:
+        raise ValueError("num_merges must be >= 0")
+    specials = set(special_tokens(languages))
+    protected: set[str] = set()
+    word_freqs: Counter[str] = Counter()
+    for line in corpus:
+        for token in line.split():
+            if token in specials:
+                continue
+            if protect_roles and token.startswith(":"):
+                protected.add(token)
+                continue
+            word_freqs[token] += 1
+    if not word_freqs:
+        raise EmptyCorpus("no trainable tokens in corpus")
+
+    words: list[list[str]] = [list(_word_symbols(w)) for w in word_freqs]
+    freqs: list[int] = list(word_freqs.values())
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    pair_to_words: dict[tuple[str, str], set[int]] = {}
+    for wi, symbols in enumerate(words):
+        for pair in _adjacent_pairs(symbols):
+            pair_counts[pair] += freqs[wi]
+            pair_to_words.setdefault(pair, set()).add(wi)
+
+    merges: list[tuple[str, str]] = []
+    for _ in range(num_merges):
+        if not pair_counts:
+            break
+        best_count = max(pair_counts.values())
+        best = min(
+            (p for p, c in pair_counts.items() if c == best_count),
+            key=lambda p: p[0] + p[1],
+        )
+        merges.append(best)
+        new_symbol = best[0] + best[1]
+        for wi in sorted(pair_to_words.get(best, ())):
+            old = words[wi]
+            f = freqs[wi]
+            for pair in _adjacent_pairs(old):
+                pair_counts[pair] -= f
+                if pair_counts[pair] <= 0:
+                    del pair_counts[pair]
+                members = pair_to_words.get(pair)
+                if members is not None:
+                    members.discard(wi)
+                    if not members:
+                        del pair_to_words[pair]
+            merged: list[str] = []
+            i = 0
+            while i < len(old):
+                if i + 1 < len(old) and old[i] == best[0] and old[i + 1] == best[1]:
+                    merged.append(new_symbol)
+                    i += 2
+                else:
+                    merged.append(old[i])
+                    i += 1
+            words[wi] = merged
+            for pair in _adjacent_pairs(merged):
+                pair_counts[pair] += f
+                pair_to_words.setdefault(pair, set()).add(wi)
+
+    base_symbols = sorted({s for w in word_freqs for s in _word_symbols(w)})
+    vocab: dict[str, int] = {}
+    for tok in special_tokens(languages):
+        vocab[tok] = len(vocab)
+    for tok in sorted(protected):
+        if tok not in vocab:
+            vocab[tok] = len(vocab)
+    for sym in base_symbols:
+        if sym not in vocab:
+            vocab[sym] = len(vocab)
+    for left, right in merges:
+        piece = left + right
+        if piece not in vocab:
+            vocab[piece] = len(vocab)
+    specials_map = {tok: vocab[tok] for tok in special_tokens(languages)}
+    return BpeModel(
+        merges=tuple(merges),
+        vocab=vocab,
+        specials=specials_map,
+        protected=frozenset(protected),
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scan_train_bpe
 
 from amr2text.bpe import (
     CORE_SPECIALS,
@@ -114,6 +115,36 @@ def test_round_trip_property(lines):
     m = train_bpe(normalized, num_merges=50)
     for line in normalized:
         assert decode(m, encode(m, line)) == line
+
+
+@st.composite
+def _small_corpora(draw):
+    """Lines over a tiny alphabet, so that many pairs tie on count."""
+    alphabet = draw(st.sampled_from(["ab", "aab", "abc", "ab:", "a:bb"]))
+    word = st.text(alphabet=alphabet, min_size=1, max_size=8)
+    line = st.lists(word, min_size=1, max_size=6).map(" ".join)
+    return draw(st.lists(line, min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_corpora(), st.integers(0, 60), st.booleans())
+def test_heap_selection_matches_full_scan(tmp_path_factory, corpus, num_merges, protect_roles):
+    # Caps above the achievable count are common at these sizes; a corpus of
+    # role tokens alone is empty for both trainers.
+    try:
+        want = scan_train_bpe(corpus, num_merges, protect_roles=protect_roles)
+    except EmptyCorpus:
+        with pytest.raises(EmptyCorpus):
+            train_bpe(corpus, num_merges, protect_roles=protect_roles)
+        return
+    got = train_bpe(corpus, num_merges, protect_roles=protect_roles)
+    assert got.merges == want.merges
+    assert list(got.vocab.items()) == list(want.vocab.items())
+    assert got.protected == want.protected
+    d = tmp_path_factory.mktemp("bpe")
+    save_bpe(got, d / "got.model")
+    save_bpe(want, d / "want.model")
+    assert (d / "got.model").read_bytes() == (d / "want.model").read_bytes()
 
 
 def test_decode_skips_pad_and_rejects_bad_id():

@@ -500,6 +500,39 @@ def test_generate_checks_every_line_language_before_work(quickstart, case, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["too-long", "id-past-vocab"])
+def test_generate_checks_every_line_fits_the_encoder_before_work(quickstart, case, tmp_path,
+                                                                 monkeypatch, capsys):
+    """A last line the encoder cannot read fails, naming the line, before any decoding."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("decoded a line before checking every line fits the encoder")
+
+    monkeypatch.setattr(cli, "beam_search", no_search)
+    tokens = Path(quickstart["test_lin"]).read_text(encoding="utf-8").splitlines()
+    feats = Path(quickstart["test_lin"] + ".feat").read_text(encoding="utf-8").splitlines()
+    enc_bpe = Path(quickstart["enc_bpe"])
+    if case == "too-long":  # the model has 40 positions
+        tokens[-1] += " boy" * 40
+        feats[-1] += " 0:0" * 40
+    else:  # a protected piece one past the vocabulary the model was trained with
+        model_text = enc_bpe.read_text(encoding="utf-8")
+        size = load_bpe(enc_bpe).vocab_size
+        enc_bpe = tmp_path / "bpe.model"
+        enc_bpe.write_text(model_text.replace("#protected\n", f":zzz {size}\n#protected\n:zzz\n"),
+                           encoding="utf-8")
+        tokens[-1] = tokens[-1].replace(":ARG0", ":zzz", 1)
+    lin = tmp_path / "bad.lin"
+    lin.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    (tmp_path / "bad.lin.feat").write_text("\n".join(feats) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["generate", "--model", quickstart["model"], "--input", str(lin),
+            "--enc-bpe", str(enc_bpe), "--dec-bpe", quickstart["dec_bpe"],
+            "--max-len", str(MAX_LEN), "--out-dir", str(out)]
+    assert run(*argv) == 2
+    assert not out.exists()
+    assert f"line {len(tokens)}:" in capsys.readouterr().err
+
+
 def test_train_buckets_features_past_the_last_row(quickstart):
     """Toy graphs reach depth 2; one depth bucket (rows 0 and 1) must still train."""
     w = quickstart["w"]

@@ -232,6 +232,18 @@ def test_backward_releases_graph():
     assert z._parents == () and z._backward is None
 
 
+def test_backward_keeps_leaf_grads_and_drops_interior_ones():
+    x = T.tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    w = T.tensor(np.array([[3.0, 4.0]]), requires_grad=True)
+    h = T.mul(x, w)
+    s = T.matmul(h, T.tensor(np.ones((2, 1))))
+    z = T.reshape(s, ())
+    z.backward()
+    np.testing.assert_array_equal(x.grad, [[3.0, 4.0]])
+    np.testing.assert_array_equal(w.grad, [[1.0, 2.0]])
+    assert h.grad is None and s.grad is None and z.grad is None
+
+
 def test_zero_grad_and_accumulation():
     x = T.tensor(np.array(1.0), requires_grad=True)
     T.mul(x, x).backward()
