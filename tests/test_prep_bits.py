@@ -3,9 +3,10 @@
 Runs README quickstart stages 1-3 through ``cli.main``: linearize the
 training graphs (no language token) and the test graphs for en and de,
 train the encoder and decoder BPE models at 150 merges, and build the
-corpus.  Pins the SHA-256 of every token, feature, model and examples file
-it writes.  None of these artifacts involves floating point, so the
-digests hold on any machine.
+corpus.  Also re-serializes the training and test graphs with
+``parse-amr``, plain and indented.  Pins the SHA-256 of every token,
+feature, model, examples and PENMAN file it writes.  None of these
+artifacts involves floating point, so the digests hold on any machine.
 """
 
 import hashlib
@@ -55,4 +56,22 @@ PINNED = {
     "corpus/train.examples": "d9ea306d946cde37d0d4aae122412bdb37cdb3f753817bc808e3c484e630b003",
     "corpus/valid.examples": "e7312a472c45cbe430791447205af2a0bd6ea3355fde32a872adbe6b66adcb63",
     "corpus/test.examples": "ab92afde759198e4e42371215bfac7fbc8091ae36c0cae82d1291ad3ae2093c1",
+}
+
+
+def test_parse_amr_artifacts(tmp_path):
+    for split in ("train", "test"):
+        for layout, extra in (("plain", ()), ("indent", ("--indent",))):
+            _run("parse-amr", "--in", f"{TOY}/{split}.amr",
+                 "--out-dir", tmp_path / f"{split}.{layout}", *extra)
+    got = {name: _sha256(tmp_path / name) for name in PINNED_PENMAN}
+    assert got == PINNED_PENMAN
+
+
+# Taken on data/toy; canonical PENMAN, one graph per line or indented.
+PINNED_PENMAN = {
+    "train.plain/parsed.amr": "ac17640a175ccf8626a60a90adb84d0001c8954c8d22740790185899de663890",
+    "train.indent/parsed.amr": "27c0b9ba9c11bd790366e2a7191b628b339cfde627ff7ae4a86ec9fd5ba6ae32",
+    "test.plain/parsed.amr": "4d9be385dc760b55595bab8650d1cd1b2fbe55a4ab714df3bf49a72f11dd1786",
+    "test.indent/parsed.amr": "f550f28ef1d1390b1da46b69942b5e5f6b9d057e0bac4babf95981244b37f3b8",
 }
