@@ -1,4 +1,4 @@
-"""PENMAN notation parsing, validation, and serialization for AMR graphs.
+"""PENMAN notation parsing and serialization for AMR graphs.
 
 An AMR is a rooted directed acyclic graph written in parenthesized PENMAN
 form, e.g. ``(w / want-01 :ARG0 (b / boy))``.  Variables (``w``, ``b``)
@@ -6,14 +6,15 @@ bind nodes; a bare mention of an already-bound variable is a re-entrancy
 (an extra edge into the existing node).  Role targets that never receive a
 ``(var / concept)`` binding are attribute literals (numbers, quoted
 strings, polarity ``-`` and the like) and are stored verbatim, including
-any quote marks.
+any quote marks.  An :class:`AmrGraph` checks that it is rooted,
+connected and acyclic when it is built, so no later stage checks again.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 MAX_PARSE_DEPTH = 512
 
@@ -52,7 +53,7 @@ class DepthLimitExceeded(PenmanError):
 
 
 class InvalidGraph(ValueError):
-    """Raised when an operation requires a graph whose invariants hold."""
+    """Raised when a graph being built breaks an AmrGraph invariant."""
 
 
 @dataclass(frozen=True)
@@ -70,20 +71,13 @@ class PenmanToken:
     position: int
 
 
-class Violation(NamedTuple):
-    """A named invariant violation found by :func:`validate`."""
-
-    kind: str
-    subject: str
-
-
 Edge = tuple[str, str, str]
 Attribute = tuple[str, str, str]
 
 
 @dataclass(frozen=True)
 class AmrGraph:
-    """A rooted, ordered AMR graph.
+    """A rooted, connected, acyclic, ordered AMR graph.
 
     ``nodes`` maps node ids to concept labels (insertion order is the order
     of first definition).  ``edges`` and ``attributes`` keep the order in
@@ -91,6 +85,11 @@ class AmrGraph:
     edges and attributes as ("edge"|"attr", list index) pairs in source
     order; it is derived data used to reproduce the original layout and is
     excluded from equality.
+
+    Building one checks that the root, every edge end and every attribute
+    source are nodes (else :class:`InvalidGraph` names each problem), that
+    no edge path is a cycle (else :class:`CycleDetected`), and that the
+    root reaches every node (else :class:`InvalidGraph`).
     """
 
     root: str
@@ -100,6 +99,36 @@ class AmrGraph:
     out_order: tuple[tuple[str, int], ...] | None = field(
         default=None, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        named = [("RootMissing", self.root)]
+        for src, _, tgt in self.edges:
+            named += [("DanglingEdgeSource", src), ("DanglingEdgeTarget", tgt)]
+        named += [("DanglingAttributeSource", src) for src, _, _ in self.attributes]
+        problems = [f"{kind}({name})" for kind, name in named if name not in self.nodes]
+        if problems:
+            raise InvalidGraph("; ".join(problems))
+        children = self.children()
+        cycle = _find_cycle(children)
+        if cycle is not None:
+            raise CycleDetected("cycle through " + " -> ".join(cycle))
+        seen = {self.root}
+        frontier = [self.root]
+        while frontier:
+            for nxt in children[frontier.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        unreachable = [f"UnreachableNode({n})" for n in self.nodes if n not in seen]
+        if unreachable:
+            raise InvalidGraph("; ".join(unreachable))
+
+    def children(self) -> dict[str, list[str]]:
+        """Each node's edge targets, in edge order."""
+        adj: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for src, _, tgt in self.edges:
+            adj[src].append(tgt)
+        return adj
 
     def outgoing(self) -> dict[str, list[tuple[str, str, str | None]]]:
         """Per-node outgoing items as (role, target-or-literal, child-node-id).
@@ -117,10 +146,10 @@ class AmrGraph:
         for kind, idx in order:
             if kind == "edge":
                 src, role, tgt = self.edges[idx]
-                per_node.setdefault(src, []).append((role, tgt, tgt))
+                per_node[src].append((role, tgt, tgt))
             else:
                 src, role, value = self.attributes[idx]
-                per_node.setdefault(src, []).append((role, value, None))
+                per_node[src].append((role, value, None))
         return per_node
 
 
@@ -230,17 +259,13 @@ class _Parser:
             raise PenmanError(
                 f"trailing content after graph: {trailing.text!r}", trailing.position
             )
-        graph = AmrGraph(
+        return AmrGraph(
             root=root,
             nodes=self.nodes,
             edges=tuple(self.edges),
             attributes=tuple(self.attributes),
             out_order=tuple(self.out_order),
         )
-        cycle = _find_cycle(graph)
-        if cycle is not None:
-            raise CycleDetected("cycle through " + " -> ".join(cycle))
-        return graph
 
     def parse_node(self, depth: int) -> str:
         if depth >= MAX_PARSE_DEPTH:
@@ -285,22 +310,19 @@ class _Parser:
 
 
 def parse_penman(text: str) -> AmrGraph:
-    """Parse a single PENMAN expression into a validated :class:`AmrGraph`."""
+    """Parse a single PENMAN expression into an :class:`AmrGraph`."""
     if not text or not text.strip():
         raise EmptyInput("no PENMAN expression found", 0)
     return _Parser(text).parse()
 
 
-def _find_cycle(g: AmrGraph) -> list[str] | None:
-    """Iterative DFS cycle search; returns the node sequence of a cycle."""
-    adj: dict[str, list[str]] = {n: [] for n in g.nodes}
-    for src, _, tgt in g.edges:
-        if src in adj and tgt in g.nodes:
-            adj[src].append(tgt)
+def _find_cycle(adj: dict[str, list[str]]) -> list[str] | None:
+    """Iterative DFS cycle search over an adjacency list whose targets are
+    all keys; returns the node sequence of a cycle."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in g.nodes}
+    color = {n: WHITE for n in adj}
     parent: dict[str, str] = {}
-    for start in g.nodes:
+    for start in adj:
         if color[start] != WHITE:
             continue
         stack = [(start, iter(adj[start]))]
@@ -329,51 +351,13 @@ def _find_cycle(g: AmrGraph) -> list[str] | None:
     return None
 
 
-def validate(g: AmrGraph) -> list[Violation]:
-    """Check every AmrGraph invariant; an empty list means the graph is valid."""
-    violations: list[Violation] = []
-    if g.root not in g.nodes:
-        violations.append(Violation("RootMissing", g.root))
-    for src, role, tgt in g.edges:
-        if src not in g.nodes:
-            violations.append(Violation("DanglingEdgeSource", src))
-        if tgt not in g.nodes:
-            violations.append(Violation("DanglingEdgeTarget", tgt))
-    for src, role, _ in g.attributes:
-        if src not in g.nodes:
-            violations.append(Violation("DanglingAttributeSource", src))
-    cycle = _find_cycle(g)
-    if cycle is not None:
-        violations.append(Violation("CycleDetected", " -> ".join(cycle)))
-    if g.root in g.nodes:
-        seen = {g.root}
-        frontier = [g.root]
-        adj: dict[str, list[str]] = {n: [] for n in g.nodes}
-        for src, _, tgt in g.edges:
-            if src in adj and tgt in g.nodes:
-                adj[src].append(tgt)
-        while frontier:
-            node = frontier.pop()
-            for nxt in adj[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        for node in g.nodes:
-            if node not in seen:
-                violations.append(Violation("UnreachableNode", node))
-    return violations
-
-
 def serialize_penman(g: AmrGraph, indent: bool = False) -> str:
-    """Write canonical PENMAN text for a valid graph.
+    """Write canonical PENMAN text for a graph.
 
     Each node is expanded at its first depth-first occurrence; later
     occurrences print the bare variable.  ``parse_penman`` on the result
     reproduces the node set, edge list, and per-node attribute order.
     """
-    problems = validate(g)
-    if problems:
-        raise InvalidGraph("; ".join(f"{v.kind}({v.subject})" for v in problems))
     outgoing = g.outgoing()
     printed: set[str] = set()
     parts: list[str] = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import AmrGraph, InvalidGraph, validate
+from .graph import AmrGraph
 from .langs import check_language, is_lang_token, lang_token
 
 
@@ -45,19 +45,12 @@ class LinearizedAmr:
 
 
 def compute_node_features(g: AmrGraph) -> NodeFeatures:
-    """Validate the graph; depth by BFS from the root; subgraph by first
-    covering root subtree.
+    """Depth by BFS from the root; subgraph by first covering root subtree.
 
     A non-root node's subgraph id is 1 + the index (in the root's outgoing
     edge order) of the first root child from which the node is reachable.
     """
-    problems = validate(g)
-    if problems:
-        raise InvalidGraph("; ".join(f"{v.kind}({v.subject})" for v in problems))
-    adj: dict[str, list[str]] = {n: [] for n in g.nodes}
-    for src, _, tgt in g.edges:
-        adj[src].append(tgt)
-
+    adj = g.children()
     depth = {g.root: 0}
     frontier = [g.root]
     while frontier:
@@ -70,19 +63,14 @@ def compute_node_features(g: AmrGraph) -> NodeFeatures:
         frontier = nxt_frontier
 
     subgraph = {g.root: 0}
-    root_children = [tgt for src, _, tgt in g.edges if src == g.root]
-    for index, child in enumerate(root_children):
-        reach = {child}
+    for index, child in enumerate(adj[g.root], start=1):
+        # Skipping a claimed node is exact: all below it was claimed with it.
         stack = [child]
         while stack:
             node = stack.pop()
-            for nxt in adj[node]:
-                if nxt not in reach:
-                    reach.add(nxt)
-                    stack.append(nxt)
-        for node in reach:
             if node not in subgraph:
-                subgraph[node] = 1 + index
+                subgraph[node] = index
+                stack.extend(adj[node])
     return NodeFeatures(depth=depth, subgraph=subgraph)
 
 
@@ -112,7 +100,7 @@ def linearize_for_language(g: AmrGraph, lang: str | None = None) -> LinearizedAm
     with internal whitespace split into one token per word (all governed by
     the source node) so the space-joined file layout stays invertible.
     """
-    nf = compute_node_features(g)  # the one validation of g
+    nf = compute_node_features(g)
     outgoing = g.outgoing()
     tokens: list[str] = []
     depth_ids: list[int] = []

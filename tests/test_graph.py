@@ -9,13 +9,13 @@ from amr2text.graph import (
     DepthLimitExceeded,
     DuplicateVariableDefinition,
     EmptyInput,
+    InvalidGraph,
     PenmanError,
     UnbalancedParens,
     iter_penman_blocks,
     parse_penman,
     serialize_penman,
     tokenize_penman,
-    validate,
 )
 
 from oracles import random_graph
@@ -118,19 +118,54 @@ def test_serialize_indent_round_trips():
 
 
 def test_validate_reports_dangling_and_unreachable():
-    bad = AmrGraph(
-        root="a",
-        nodes={"a": "x", "b": "y"},
-        edges=(("a", ":ARG0", "ghost"),),
-    )
-    kinds = {v.kind for v in validate(bad)}
-    assert "DanglingEdgeTarget" in kinds
-    assert "UnreachableNode" in kinds  # b hangs loose
+    """Every dangling end is named at once; unreachable nodes are checked
+    only once every end is a node."""
+    with pytest.raises(InvalidGraph, match=r"^DanglingEdgeTarget\(ghost\); "
+                       r"DanglingAttributeSource\(c\)$"):
+        AmrGraph(root="a", nodes={"a": "x", "b": "y"}, edges=(("a", ":ARG0", "ghost"),),
+                 attributes=(("c", ":mod", "1"),))
+    with pytest.raises(InvalidGraph, match=r"^UnreachableNode\(b\)$"):
+        AmrGraph(root="a", nodes={"a": "x", "b": "y"}, edges=())
 
 
 def test_validate_root_missing():
-    bad = AmrGraph(root="zz", nodes={"a": "x"}, edges=())
-    assert "RootMissing" in {v.kind for v in validate(bad)}
+    with pytest.raises(InvalidGraph, match=r"^RootMissing\(zz\)$"):
+        AmrGraph(root="zz", nodes={"a": "x"}, edges=())
+
+
+# (the error's message, root, nodes, edges, attributes): one broken
+# invariant each, otherwise a valid graph.
+INVALID = [
+    ("RootMissing(zz)", "zz", {"a": "x"}, (), ()),
+    ("DanglingEdgeSource(ghost)", "a", {"a": "x", "b": "y"},
+     (("a", ":ARG0", "b"), ("ghost", ":ARG1", "b")), ()),
+    ("DanglingEdgeTarget(ghost)", "a", {"a": "x"}, (("a", ":ARG0", "ghost"),), ()),
+    ("DanglingAttributeSource(ghost)", "a", {"a": "x"}, (), (("ghost", ":mod", "1"),)),
+    ("cycle through a -> b -> a", "a", {"a": "x", "b": "y"},
+     (("a", ":ARG0", "b"), ("b", ":ARG1", "a")), ()),
+    ("UnreachableNode(c)", "a", {"a": "x", "b": "y", "c": "z"},
+     (("a", ":ARG0", "b"), ("c", ":ARG1", "b")), ()),
+]
+
+
+@pytest.mark.parametrize("message,root,nodes,edges,attributes", INVALID, ids=[
+    "RootMissing", "DanglingEdgeSource", "DanglingEdgeTarget", "DanglingAttributeSource",
+    "CycleDetected", "UnreachableNode"])
+def test_each_invalid_kind_raises_at_construction(message, root, nodes, edges, attributes):
+    error = CycleDetected if message.startswith("cycle") else InvalidGraph
+    with pytest.raises(error) as info:
+        AmrGraph(root=root, nodes=nodes, edges=edges, attributes=attributes)
+    assert str(info.value) == message
+
+
+def test_cycle_error_is_the_parsers():
+    with pytest.raises(CycleDetected, match=r"^cycle through a -> b -> a$"):
+        parse_penman("(a / x :ARG0 (b / y :ARG0 a))")
+
+
+def test_children_follow_edge_order():
+    g = parse_penman('(d / date-entity :ARG1 (m / month) :value 2002 :ARG0 (y / year :ARG2 m))')
+    assert g.children() == {"d": ["m", "y"], "m": [], "y": ["m"]}
 
 
 def test_iter_blocks_one_per_line():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from amr2text import linearize
+from amr2text import graph
 from amr2text.graph import AmrGraph, InvalidGraph, parse_penman
 from amr2text.linearize import (
     AlreadyHasLanguageToken,
@@ -123,15 +123,18 @@ def test_token_features_follow_oracle_alignment():
 
 
 def test_each_graph_validated_once(monkeypatch):
+    """Parsing, linearizing and re-serializing one graph searches it for
+    cycles once, when it is built; a graph that breaks an invariant cannot
+    be built at all."""
     calls = []
-    real = linearize.validate
-    monkeypatch.setattr(linearize, "validate", lambda g: calls.append(g) or real(g))
+    real = graph._find_cycle
+    monkeypatch.setattr(graph, "_find_cycle", lambda adj: calls.append(adj) or real(adj))
     g = parse_penman(WANT)
     linearize_for_language(g, "en")
-    assert calls == [g]
-    broken = AmrGraph(root="w", nodes={"w": "want-01"}, edges=(("w", ":ARG0", "b"),))
-    with pytest.raises(InvalidGraph):
-        linearize_for_language(broken)
+    graph.serialize_penman(g)
+    assert len(calls) == 1
+    with pytest.raises(InvalidGraph, match="DanglingEdgeTarget"):
+        AmrGraph(root="w", nodes={"w": "want-01"}, edges=(("w", ":ARG0", "b"),))
 
 
 def test_depth_bucket_clamps(tmp_path):
