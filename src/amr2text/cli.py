@@ -48,6 +48,7 @@ from .model import (
     EncoderInput,
     ModelConfig,
     build,
+    check_decoder_input,
     check_encoder_input,
     load_checkpoint,
     save_checkpoint,
@@ -193,7 +194,13 @@ def _write_lines(path, lines) -> None:
 def _load_graphs(path: str):
     with open(path, encoding="utf-8") as f:
         text = f.read()
-    return [parse_penman(block) for block in iter_penman_blocks(text)]
+    graphs = []
+    for n, block in enumerate(iter_penman_blocks(text), start=1):
+        try:
+            graphs.append(parse_penman(block))
+        except PenmanError as err:
+            raise type(err)(f"{path}: graph {n}: {err}") from None
+    return graphs
 
 
 def _lang_file_map(items: list[str], flag: str) -> dict[str, str]:
@@ -387,15 +394,24 @@ def cmd_pretrain_decoder(args, cfg) -> int:
 def cmd_train(args, cfg) -> int:
     enc_model = load_bpe(args.enc_bpe)
     dec_model = load_bpe(args.dec_bpe)
-    train_set = load_examples(os.path.join(args.corpus, "train.examples"))
-    valid_set = load_examples(os.path.join(args.corpus, "valid.examples"))
-    for name, examples in (("training", train_set), ("validation", valid_set)):
-        if not examples:
-            raise ValueError(f"{name} set is empty")
-        for ex in examples:
-            ex.check_target(dec_model.bos_id, dec_model.eos_id)
+    train_path = os.path.join(args.corpus, "train.examples")
+    valid_path = os.path.join(args.corpus, "valid.examples")
+    train_set, valid_set = load_examples(train_path), load_examples(valid_path)
     tcfg = _section(cfg, "train", seed=args.seed)
     mcfg = _section(cfg, "model", enc_vocab=enc_model.vocab_size, dec_vocab=dec_model.vocab_size)
+    for name, path, examples in (("training", train_path, train_set),
+                                 ("validation", valid_path, valid_set)):
+        if not examples:
+            raise ValueError(f"{name} set is empty")
+        for n, ex in enumerate(examples, start=1):
+            try:
+                ex.check_target(dec_model.bos_id, dec_model.eos_id)
+                check_encoder_input(mcfg, EncoderInput(
+                    np.asarray(ex.src_ids), np.asarray(ex.src_depth_ids),
+                    np.asarray(ex.src_subgraph_ids)))
+                check_decoder_input(mcfg, ex.tgt_ids[:-1])
+            except ValueError as err:
+                raise ValueError(f"{path}: example {n}: {err}") from None
     params = build(mcfg, args.seed)
     params, init_report = initialize_for_finetune(
         params,

@@ -142,24 +142,36 @@ def write_linearized(token_path, feature_path, examples: Iterable[LinearizedAmr]
             ff.write(" ".join(f"{d}:{s}" for d, s in zip(lin.depth_ids, lin.subgraph_ids)) + "\n")
 
 
+def _feature_pair(item: str, where: str) -> tuple[int, int]:
+    try:
+        depth, subgraph = item.split(":")
+        return int(depth), int(subgraph)
+    except ValueError:
+        raise ValueError(f"{where}: feature {item!r} is not depth:subgraph") from None
+
+
 def read_linearized(token_path, feature_path) -> list[LinearizedAmr]:
     with open(token_path, encoding="utf-8") as tf:
         token_lines = tf.read().splitlines()
     with open(feature_path, encoding="utf-8") as ff:
         feature_lines = ff.read().splitlines()
     if len(token_lines) != len(feature_lines):
-        raise ValueError("token and feature files have different line counts")
+        raise ValueError(
+            f"{token_path} has {len(token_lines)} lines but {feature_path} "
+            f"has {len(feature_lines)}"
+        )
     out: list[LinearizedAmr] = []
-    for tline, fline in zip(token_lines, feature_lines):
-        tokens = tuple(tline.split())
-        pairs = [p.split(":") for p in fline.split()]
-        if len(pairs) != len(tokens):
-            raise ValueError("feature line does not match token line length")
+    for lineno, (tline, fline) in enumerate(zip(token_lines, feature_lines), start=1):
+        tokens, items = tuple(tline.split()), fline.split()
+        where = f"{feature_path}: line {lineno}"
+        if len(items) != len(tokens):
+            raise ValueError(f"{where}: {len(items)} features for {len(tokens)} tokens")
+        pairs = [_feature_pair(item, where) for item in items]
         out.append(
             LinearizedAmr(
                 tokens=tokens,
-                depth_ids=tuple(int(d) for d, _ in pairs),
-                subgraph_ids=tuple(int(s) for _, s in pairs),
+                depth_ids=tuple(d for d, _ in pairs),
+                subgraph_ids=tuple(s for _, s in pairs),
             )
         )
     return out

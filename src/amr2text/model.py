@@ -324,6 +324,20 @@ def check_encoder_input(cfg: ModelConfig, enc_input: EncoderInput) -> np.ndarray
     return piece_ids
 
 
+def check_decoder_input(cfg: ModelConfig, ids, start: int = 0) -> np.ndarray:
+    """Raise unless the decoder can read ``ids`` (rows, t), or one row (t,),
+    as positions ``start`` onward: at least one position, none past
+    ``max_positions``, ids inside ``dec_vocab``.  Returns (rows, t) ids."""
+    ids = np.atleast_2d(ids)
+    if ids.shape[1] == 0:
+        raise EmptyInput("decoder prefix has zero length")
+    if start + ids.shape[1] > cfg.max_positions:
+        raise PrefixTooLong(
+            f"prefix length {start + ids.shape[1]} exceeds max_positions {cfg.max_positions}"
+        )
+    return _check_ids("dec_word_emb", ids, cfg.dec_vocab)
+
+
 def encode(
     params: ModelParams,
     enc_input: EncoderInput,
@@ -470,15 +484,7 @@ def _decode(
     ``state``, which grows by t; each sees itself and every earlier one.
     The memory must hold one row or ``rows`` rows.  Returns what
     ``decoder_forward`` returns."""
-    cfg = params.config
-    rows, t = ids.shape
-    if t == 0:
-        raise EmptyInput("decoder prefix has zero length")
-    if state.length + t > cfg.max_positions:
-        raise PrefixTooLong(
-            f"prefix length {state.length + t} exceeds max_positions {cfg.max_positions}"
-        )
-    _check_ids("dec_word_emb", ids, cfg.dec_vocab)
+    rows, t = check_decoder_input(params.config, ids, state.length).shape
     if state.memory is not None and state.memory.shape[0] not in (1, rows):
         n = state.memory.shape[0]
         raise ValueError(f"memory holds {n} rows for {rows} decoder rows; expected 1 or {rows}")

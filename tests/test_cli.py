@@ -80,6 +80,38 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "data error:" in capsys.readouterr().err
 
 
+# PENMAN text whose second graph has a cycle, or whose first graph has a
+# target where a role belongs, and where each error is reported.
+BAD_PENMAN = {
+    "cycle": (AMRS[0] + "\n(x / a :ARG0 (z / b :ARG1 x))\n",
+              "graph 2: cycle through x -> z -> x"),
+    "misplaced-node": ("(w / want-01 :ARG0 b (b / boy))\n",
+                       "graph 1: expected role, found open-paren '(' (at offset 21)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PENMAN))
+@pytest.mark.parametrize("command", ["parse-amr", "linearize", "pretrain-encoder",
+                                     "overlap-stats"])
+def test_penman_errors_name_file_and_graph(tmp_path, capsys, command, case):
+    text, where = BAD_PENMAN[case]
+    amr = tmp_path / "bad.amr"
+    amr.write_text(text, encoding="utf-8")
+    bpe_argv, bpe_dir = _bpe_args(tmp_path)
+    assert run(*bpe_argv) == 0
+    bpe, out = str(bpe_dir / "bpe.model"), str(tmp_path / "out")
+    argv = {
+        "parse-amr": ["--in", str(amr), "--out-dir", out],
+        "linearize": ["--in", str(amr), "--out", str(tmp_path / "bad.lin")],
+        "pretrain-encoder": ["--amr", str(amr), "--bpe", bpe, "--seed", "1", "--out-dir", out],
+        "overlap-stats": ["--amr", str(amr), "--bpe", bpe, "--target",
+                          f"en={tmp_path / 'text.txt'}", "--bleu", "en=1"],
+    }[command]
+    capsys.readouterr()
+    assert run(command, *argv) == 2
+    assert capsys.readouterr().err == f"data error: {amr}: {where}\n"
+
+
 def test_missing_required_seed_is_usage_error(tmp_path):
     hyp = tmp_path / "h.txt"
     ref = tmp_path / "r.txt"
@@ -639,6 +671,41 @@ def test_train_rejects_targets_without_bos_before_work(quickstart, case, tmp_pat
     assert run("train", "--corpus", str(corpus), "--enc-bpe", quickstart["enc_bpe"],
                "--dec-bpe", quickstart["dec_bpe"], "--seed", "1",
                "--config", str(w / "train.cfg"), "--out-dir", str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["long-source", "target-id"])
+def test_train_checks_examples_against_the_model_before_work(quickstart, case, tmp_path,
+                                                             capsys):
+    """The first valid.examples source is longer than max_positions (40), or
+    the second train.examples target holds an id past the decoder vocabulary."""
+    w = quickstart["w"]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    name, n = ("valid", 1) if case == "long-source" else ("train", 2)
+    for split in ("train", "valid"):
+        (corpus / f"{split}.examples").write_bytes((w / "corpus" / f"{split}.examples").read_bytes())
+    path = corpus / f"{name}.examples"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cols = lines[n - 1].split("\t")
+    if case == "long-source":
+        cols[1:4] = [" ".join([col.split()[0]] * 41) for col in cols[1:4]]
+        expected = "enc_pos_emb: input length 41 exceeds max_positions 40"
+    else:
+        vocab = load_bpe(quickstart["dec_bpe"]).vocab_size
+        tgt = [int(i) for i in cols[4].split()]
+        tgt[1] = vocab
+        cols[4] = " ".join(map(str, tgt))
+        low = min(tgt[:-1])  # the teacher-forced prefix drops eos
+        expected = f"dec_word_emb: ids span [{low}, {vocab}] but table has {vocab} rows"
+    lines[n - 1] = "\t".join(cols)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("train", "--corpus", str(corpus), "--enc-bpe", quickstart["enc_bpe"],
+               "--dec-bpe", quickstart["dec_bpe"], "--seed", "1",
+               "--config", str(w / "train.cfg"), "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == f"data error: {path}: example {n}: {expected}\n"
     assert not out.exists()
 
 

@@ -200,6 +200,42 @@ def test_write_read_round_trip(tmp_path):
         assert b.subgraph_ids == a.subgraph_ids
 
 
+def _write_pair(tmp_path, token_lines, feature_lines):
+    tpath, fpath = tmp_path / "g.lin", tmp_path / "g.lin.feat"
+    tpath.write_text("".join(line + "\n" for line in token_lines), encoding="utf-8")
+    fpath.write_text("".join(line + "\n" for line in feature_lines), encoding="utf-8")
+    return tpath, fpath
+
+
+def test_feature_without_colon_names_file_and_line(tmp_path):
+    tpath, fpath = _write_pair(tmp_path, ["( a )", "( b )"], ["0:0 0:0 0:0", "0:0 00 0:0"])
+    with pytest.raises(ValueError) as info:
+        read_linearized(tpath, fpath)
+    assert str(info.value) == f"{fpath}: line 2: feature '00' is not depth:subgraph"
+
+
+def test_non_integer_feature_names_file_and_line(tmp_path):
+    tpath, fpath = _write_pair(tmp_path, ["( a )"], ["0:0 a:0 0:0"])
+    with pytest.raises(ValueError) as info:
+        read_linearized(tpath, fpath)
+    assert str(info.value) == f"{fpath}: line 1: feature 'a:0' is not depth:subgraph"
+
+
+def test_feature_count_mismatch_names_file_and_line(tmp_path):
+    tpath, fpath = _write_pair(tmp_path, ["( a )", "( b )", "( c )"],
+                               ["0:0 0:0 0:0", "0:0 0:0 0:0", "0:0 0:0"])
+    with pytest.raises(ValueError) as info:
+        read_linearized(tpath, fpath)
+    assert str(info.value) == f"{fpath}: line 3: 2 features for 3 tokens"
+
+
+def test_line_count_mismatch_names_both_files_and_counts(tmp_path):
+    tpath, fpath = _write_pair(tmp_path, ["( a )", "( b )"], ["0:0 0:0 0:0"])
+    with pytest.raises(ValueError) as info:
+        read_linearized(tpath, fpath)
+    assert str(info.value) == f"{tpath} has 2 lines but {fpath} has 1"
+
+
 def test_feature_length_mismatch_rejected():
     with pytest.raises(ValueError):
         LinearizedAmr(tokens=("(", "x", ")"), depth_ids=(0, 0), subgraph_ids=(0, 0, 0))

@@ -19,6 +19,7 @@ from amr2text.model import (
     PrefixTooLong,
     WidthMismatch,
     build,
+    check_decoder_input,
     decode_step,
     decoder_forward,
     desk_config,
@@ -223,6 +224,19 @@ def test_id_range_and_length_errors(params):
     memory, mask = encode(params, enc_in([[1, 2]]))
     with pytest.raises(PrefixTooLong):
         decoder_forward(params, memory, mask, np.ones((1, 13), dtype=int))
+
+
+def test_check_decoder_input_counts_positions_from_start():
+    """One row or (rows, t); length counted from ``start``; ids inside dec_vocab."""
+    assert check_decoder_input(TINY, [1, 18]).shape == (1, 2)
+    assert check_decoder_input(TINY, np.ones((3, 12), dtype=int)).shape == (3, 12)
+    assert check_decoder_input(TINY, [1], start=11).shape == (1, 1)
+    with pytest.raises(PrefixTooLong, match="prefix length 13 exceeds max_positions 12"):
+        check_decoder_input(TINY, [1, 2], start=11)
+    with pytest.raises(IdOutOfRange, match=r"ids span \[1, 19\] but table has 19 rows"):
+        check_decoder_input(TINY, [1, 19])
+    with pytest.raises(EmptyInput):
+        check_decoder_input(TINY, np.zeros((2, 0), dtype=int))
 
 
 def test_dropout_changes_training_forward(params):
