@@ -118,49 +118,34 @@ def test_serialize_indent_round_trips():
 
 
 def test_validate_reports_dangling_and_unreachable():
-    """Every dangling end is named at once; unreachable nodes are checked
-    only once every end is a node."""
-    with pytest.raises(InvalidGraph, match=r"^DanglingEdgeTarget\(ghost\); "
-                       r"DanglingAttributeSource\(c\)$"):
-        AmrGraph(root="a", nodes={"a": "x", "b": "y"}, edges=(("a", ":ARG0", "ghost"),),
+    """Building a graph names every dangling end at once; unreachable nodes
+    are looked for only once every end is a node."""
+    with pytest.raises(InvalidGraph) as info:
+        AmrGraph(root="a", nodes={"a": "x", "b": "y"},
+                 edges=(("a", ":ARG0", "b"), ("ghost", ":ARG1", "b"), ("a", ":ARG2", "void")),
                  attributes=(("c", ":mod", "1"),))
-    with pytest.raises(InvalidGraph, match=r"^UnreachableNode\(b\)$"):
-        AmrGraph(root="a", nodes={"a": "x", "b": "y"}, edges=())
+    assert str(info.value) == (
+        "DanglingEdgeSource(ghost); DanglingEdgeTarget(void); DanglingAttributeSource(c)"
+    )
+    with pytest.raises(InvalidGraph) as info:
+        AmrGraph(root="a", nodes={"a": "x", "b": "y", "c": "z"},
+                 edges=(("a", ":ARG0", "b"), ("c", ":ARG1", "b")))
+    assert str(info.value) == "UnreachableNode(c)"
 
 
 def test_validate_root_missing():
-    with pytest.raises(InvalidGraph, match=r"^RootMissing\(zz\)$"):
+    with pytest.raises(InvalidGraph) as info:
         AmrGraph(root="zz", nodes={"a": "x"}, edges=())
+    assert str(info.value) == "RootMissing(zz)"
 
 
-# (the error's message, root, nodes, edges, attributes): one broken
-# invariant each, otherwise a valid graph.
-INVALID = [
-    ("RootMissing(zz)", "zz", {"a": "x"}, (), ()),
-    ("DanglingEdgeSource(ghost)", "a", {"a": "x", "b": "y"},
-     (("a", ":ARG0", "b"), ("ghost", ":ARG1", "b")), ()),
-    ("DanglingEdgeTarget(ghost)", "a", {"a": "x"}, (("a", ":ARG0", "ghost"),), ()),
-    ("DanglingAttributeSource(ghost)", "a", {"a": "x"}, (), (("ghost", ":mod", "1"),)),
-    ("cycle through a -> b -> a", "a", {"a": "x", "b": "y"},
-     (("a", ":ARG0", "b"), ("b", ":ARG1", "a")), ()),
-    ("UnreachableNode(c)", "a", {"a": "x", "b": "y", "c": "z"},
-     (("a", ":ARG0", "b"), ("c", ":ARG1", "b")), ()),
-]
-
-
-@pytest.mark.parametrize("message,root,nodes,edges,attributes", INVALID, ids=[
-    "RootMissing", "DanglingEdgeSource", "DanglingEdgeTarget", "DanglingAttributeSource",
-    "CycleDetected", "UnreachableNode"])
-def test_each_invalid_kind_raises_at_construction(message, root, nodes, edges, attributes):
-    error = CycleDetected if message.startswith("cycle") else InvalidGraph
-    with pytest.raises(error) as info:
-        AmrGraph(root=root, nodes=nodes, edges=edges, attributes=attributes)
-    assert str(info.value) == message
-
-
-def test_cycle_error_is_the_parsers():
-    with pytest.raises(CycleDetected, match=r"^cycle through a -> b -> a$"):
+def test_validate_cycle_as_parse_penman_reports_it():
+    with pytest.raises(CycleDetected) as built:
+        AmrGraph(root="a", nodes={"a": "x", "b": "y"},
+                 edges=(("a", ":ARG0", "b"), ("b", ":ARG1", "a")))
+    with pytest.raises(CycleDetected) as parsed:
         parse_penman("(a / x :ARG0 (b / y :ARG0 a))")
+    assert str(built.value) == str(parsed.value) == "cycle through a -> b -> a"
 
 
 def test_children_follow_edge_order():
