@@ -1,5 +1,7 @@
 """Bundled toy corpus generator tests."""
 
+from pathlib import Path
+
 import pytest
 
 from amr2text.graph import parse_penman
@@ -61,6 +63,22 @@ def test_write_toy_corpus_layout(tmp_path):
     test = (tmp_path / "test.amr").read_text(encoding="utf-8").splitlines()
     assert not (set(amr) & set(valid)) and not (set(amr) & set(test))
     assert not (set(valid) & set(test))
+
+
+TOY_DIR = Path(__file__).resolve().parent.parent / "data" / "toy"
+
+
+def _toy_files(root) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(Path(root).iterdir())}
+
+
+def test_bundled_corpus_is_seed_0_output(tmp_path):
+    """data/toy is exactly write_toy_corpus at seed 0, every file byte for byte."""
+    counts = {"train": 64, "valid": 8, "test": 8}
+    write_toy_corpus(tmp_path / "s0", counts, ("en", "de"), seed=0)
+    assert _toy_files(tmp_path / "s0") == _toy_files(TOY_DIR)
+    write_toy_corpus(tmp_path / "s1", counts, ("en", "de"), seed=1)
+    assert _toy_files(tmp_path / "s1") != _toy_files(TOY_DIR)
 
 
 def test_bundled_corpus_matches_generator():
