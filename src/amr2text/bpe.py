@@ -33,8 +33,8 @@ class UnknownId(ValueError):
 
 
 class MalformedVocabFile(ValueError):
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, path, message: str, line_number: int):
+        super().__init__(f"{path}: line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -300,25 +300,30 @@ def save_bpe(m: BpeModel, path) -> None:
 
 def load_bpe(path) -> BpeModel:
     """Load a file written by save_bpe; vocabulary ids are taken verbatim."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        lines = blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        line = blob.count(b"\n", 0, err.start) + 1
+        raise MalformedVocabFile(path, "not UTF-8 text", line) from None
     if not lines or not lines[0].startswith("bpe v1 "):
-        raise MalformedVocabFile("expected header 'bpe v1 <num_merges>'", 1)
+        raise MalformedVocabFile(path, "expected header 'bpe v1 <num_merges>'", 1)
     try:
         n_merges = int(lines[0].split()[2])
     except (IndexError, ValueError):
-        raise MalformedVocabFile("bad merge count in header", 1) from None
+        raise MalformedVocabFile(path, "bad merge count in header", 1) from None
     merges: list[tuple[str, str]] = []
     for lineno in range(2, 2 + n_merges):
         if lineno - 1 >= len(lines) or lines[lineno - 1] == "#vocab":
-            raise MalformedVocabFile("fewer merges than header declares", lineno)
+            raise MalformedVocabFile(path, "fewer merges than header declares", lineno)
         fields = lines[lineno - 1].split(" ")
         if len(fields) != 2:
-            raise MalformedVocabFile("merge line must be 'left right'", lineno)
+            raise MalformedVocabFile(path, "merge line must be 'left right'", lineno)
         merges.append((fields[0], fields[1]))
     vocab_start = 2 + n_merges
     if vocab_start - 1 >= len(lines) or lines[vocab_start - 1] != "#vocab":
-        raise MalformedVocabFile("expected '#vocab' section", vocab_start)
+        raise MalformedVocabFile(path, "expected '#vocab' section", vocab_start)
     vocab: dict[str, int] = {}
     protected: set[str] = set()
     in_protected = False
@@ -334,21 +339,21 @@ def load_bpe(path) -> BpeModel:
             continue
         fields = line.rsplit(" ", 1)
         if len(fields) != 2:
-            raise MalformedVocabFile("vocab line must be 'piece id'", lineno)
+            raise MalformedVocabFile(path, "vocab line must be 'piece id'", lineno)
         piece, id_text = fields
         if piece in vocab:
-            raise MalformedVocabFile(f"duplicate piece {piece!r}", lineno)
+            raise MalformedVocabFile(path, f"duplicate piece {piece!r}", lineno)
         try:
             vocab[piece] = int(id_text)
         except ValueError:
-            raise MalformedVocabFile(f"bad id {id_text!r}", lineno) from None
+            raise MalformedVocabFile(path, f"bad id {id_text!r}", lineno) from None
     if sorted(vocab.values()) != list(range(len(vocab))):
-        raise MalformedVocabFile("vocabulary ids are not dense 0-based", len(lines))
+        raise MalformedVocabFile(path, "vocabulary ids are not dense 0-based", len(lines))
     known_specials = set(special_tokens())
     specials_map = {tok: vocab[tok] for tok in vocab if tok in known_specials}
     missing = [tok for tok in CORE_SPECIALS if tok not in specials_map]
     if missing:
-        raise MalformedVocabFile(f"missing special tokens {missing}", 1)
+        raise MalformedVocabFile(path, f"missing special tokens {missing}", 1)
     return BpeModel(
         merges=tuple(merges), vocab=vocab, specials=specials_map, protected=frozenset(protected)
     )

@@ -203,14 +203,18 @@ def _load_graphs(path: str):
     return graphs
 
 
-def _lang_file_map(items: list[str], flag: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _lang_map(items: list[str], flag: str, convert=str) -> dict:
+    """Repeated ``LANG=VALUE`` flag values as {lang: convert(VALUE)}."""
+    out = {}
     for item in items:
         if "=" not in item:
-            raise UsageError(f"{flag} expects LANG=PATH, got {item!r}")
-        lang, path = item.split("=", 1)
+            raise UsageError(f"{flag} expects LANG=VALUE, got {item!r}")
+        lang, value = item.split("=", 1)
         check_language(lang)
-        out[lang] = path
+        try:
+            out[lang] = convert(value)
+        except ValueError:
+            raise UsageError(f"bad {flag} value for {lang!r}: {value!r}") from None
     if not out:
         raise UsageError(f"at least one {flag} is required")
     return out
@@ -298,6 +302,10 @@ def cmd_train_bpe(args, cfg) -> int:
 
 def cmd_build_corpus(args, cfg) -> int:
     entries = load_manifest(args.manifest)
+    if args.languages:
+        missing = sorted(set(args.languages.split(",")) - {e.language for e in entries})
+        if missing:
+            raise ValueError(f"{args.manifest}: no entries for --languages {','.join(missing)}")
     enc_model = load_bpe(args.enc_bpe)
     dec_model = load_bpe(args.dec_bpe)
     result = ingest(entries, enc_model, dec_model)
@@ -366,7 +374,7 @@ def cmd_pretrain_decoder(args, cfg) -> int:
     dec_model = load_bpe(args.bpe)
     corpora = {
         lang: _read_lines(path)
-        for lang, path in _lang_file_map(args.text, "--text").items()
+        for lang, path in _lang_map(args.text, "--text").items()
     }
     for lang, lines in corpora.items():
         if not lines:
@@ -499,16 +507,11 @@ def cmd_evaluate(args, cfg) -> int:
 
 def cmd_overlap_stats(args, cfg) -> int:
     # flag shape problems are usage errors; surface them before any file IO
-    target_paths = _lang_file_map(args.target, "--target")
-    bleus: dict[str, float] = {}
-    for item in args.bleu:
-        if "=" not in item:
-            raise UsageError(f"--bleu expects LANG=VALUE, got {item!r}")
-        lang, value = item.split("=", 1)
-        try:
-            bleus[lang] = float(value)
-        except ValueError:
-            raise UsageError(f"--bleu value for {lang!r} is not a number: {value!r}")
+    target_paths = _lang_map(args.target, "--target")
+    bleus = _lang_map(args.bleu, "--bleu", float)
+    unpaired = sorted(set(target_paths) ^ set(bleus))
+    if unpaired:
+        raise UsageError(f"--target and --bleu name different languages: {','.join(unpaired)}")
     bpe_model = load_bpe(args.bpe)
     amr_lines = [
         " ".join(linearize_for_language(g).tokens) for g in _load_graphs(args.amr)

@@ -1,4 +1,4 @@
-"""Beam-search and greedy decoding plus cross-attention export.
+"""Beam-search decoding plus cross-attention export.
 
 A hypothesis is the generated id sequence after bos, ending with eos; its
 length n (eos included) feeds the length penalty lp(n) = ((5+n)/6)^alpha
@@ -7,10 +7,10 @@ produce eos (they do not occupy beam slots); live beams are ranked by raw
 logprob, finished ones by score.  A beam that reaches max_len without eos
 is force-finished with eos so the search always returns something.
 
-Beam search and greedy decoding both drive ``model.decode_step``: the
-input is encoded once into one memory row, and each step runs the decoder
-over one new position per live beam; the ``model.DecoderState`` keeps the
-keys and values and follows the surviving beams.  Candidates are picked
+Beam search drives ``model.decode_step``: the input is encoded once into
+one memory row, and each step runs the decoder over one new position per
+live beam; the ``model.DecoderState`` keeps the keys and values and
+follows the surviving beams.  Candidates are picked
 from the flattened beam x vocabulary totals with ``np.argpartition``;
 every total tied at the cut-off is kept and the small pool is sorted by
 (-logprob, ids), so the choice is that of a full sort.  Live prefixes are
@@ -162,33 +162,6 @@ def beam_search(
     return nbest[0], nbest
 
 
-def greedy(
-    params: ModelParams,
-    enc_input: EncoderInput,
-    max_len: int,
-    bos_id: int,
-    eos_id: int,
-) -> Hypothesis:
-    """Argmax decoding; the score is the raw logprob (alpha 0)."""
-    check_max_len(params, max_len)
-    with no_grad():
-        memory, memory_mask = encode(params, enc_input)
-        state = DecoderState(params, memory, memory_mask, bos_id)
-        ids: tuple[int, ...] = (bos_id,)
-        logprob = 0.0
-        for _ in range(max_len):
-            logp = _log_softmax(decode_step(params, state, [ids[-1]]))[0]
-            if len(ids) - 1 + 1 >= max_len:
-                token = eos_id
-            else:
-                token = int(logp.argmax())
-            logprob += float(logp[token])
-            ids = ids + (token,)
-            if token == eos_id:
-                break
-    return Hypothesis(ids=ids, logprob=logprob, score=logprob)
-
-
 def cross_attention_matrix(
     params: ModelParams,
     enc_input: EncoderInput,
@@ -207,13 +180,7 @@ def cross_attention_matrix(
         raise LengthMismatch("hypothesis has no generated tokens")
     with no_grad():
         memory, memory_mask = encode(params, enc_input)
-        _, weights = decoder_forward(
-            params,
-            memory,
-            memory_mask,
-            np.asarray([hypothesis.ids]),
-            collect_attention=True,
-        )
+        _, weights = decoder_forward(params, memory, memory_mask, np.asarray([hypothesis.ids]))
     picked = weights[layer][0]  # (heads, T, S)
     matrix = picked[head] if head is not None else picked.mean(axis=0)
     return matrix[:-1, :]
@@ -249,16 +216,3 @@ def attention_dump(
             f.write(piece + "\t" + "\t".join(f"{v:.6f}" for v in row) + "\n")
     return matrix
 
-
-def read_attention_dump(path) -> tuple[list[str], list[str], np.ndarray]:
-    """Inverse of attention_dump: (column labels, row labels, matrix)."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    columns = lines[0].split("\t")[1:]
-    rows: list[str] = []
-    values: list[list[float]] = []
-    for line in lines[1:]:
-        fields = line.split("\t")
-        rows.append(fields[0])
-        values.append([float(v) for v in fields[1:]])
-    return columns, rows, np.asarray(values)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 MAX_PARSE_DEPTH = 512
 
@@ -89,11 +90,12 @@ class AmrGraph:
     Building one checks that the root, every edge end and every attribute
     source are nodes (else :class:`InvalidGraph` names each problem), that
     no edge path is a cycle (else :class:`CycleDetected`), and that the
-    root reaches every node (else :class:`InvalidGraph`).
+    root reaches every node (else :class:`InvalidGraph`).  ``nodes`` is
+    stored as a read-only copy, so a built graph cannot be broken later.
     """
 
     root: str
-    nodes: dict[str, str]
+    nodes: Mapping[str, str]
     edges: tuple[Edge, ...]
     attributes: tuple[Attribute, ...] = ()
     out_order: tuple[tuple[str, int], ...] | None = field(
@@ -101,6 +103,7 @@ class AmrGraph:
     )
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
         named = [("RootMissing", self.root)]
         for src, _, tgt in self.edges:
             named += [("DanglingEdgeSource", src), ("DanglingEdgeTarget", tgt)]

@@ -119,9 +119,6 @@ class ModelParams:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named()]
 
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
 
 def _xavier(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
@@ -439,9 +436,9 @@ def _decoder_layers(
     state: DecoderState,
     self_mask: np.ndarray | None,
     drop: Dropout | None,
-    collect_attention: bool,
 ) -> tuple[Tensor, list[np.ndarray]]:
-    """The decoder stack from its projected input x to logits."""
+    """The decoder stack from its projected input x to logits, and each
+    kept layer's cross-attention weights."""
     cfg = params.config
     rate = drop.rate if drop else 0.0
     x = T.dropout(x, rate, drop.stream("drop", "dec_in") if drop else None)
@@ -463,8 +460,7 @@ def _decoder_layers(
             q = _heads(params, prefix, "q", _ln(params, f"dec.{i}.ln2", x))
             cross_out, weights = _attend(params, prefix, q, *cross, state.cross_mask, rate, gen)
             x = T.add(x, T.dropout(cross_out, rate, gen))
-            if collect_attention:
-                cross_weights.append(weights.data.copy())
+            cross_weights.append(weights.data)
         ffn_out = _ffn(params, f"dec.{i}.ffn", _ln(params, f"dec.{i}.ln3", x))
         x = T.add(x, T.dropout(ffn_out, rate, gen))
     x = _ln(params, "dec_final_ln", x)
@@ -478,7 +474,6 @@ def _decode(
     state: DecoderState,
     ids: np.ndarray,
     drop: Dropout | None = None,
-    collect_attention: bool = False,
 ) -> tuple[Tensor, list[np.ndarray]]:
     """The one decoder pass: ``ids`` (rows, t) are the next t positions of
     ``state``, which grows by t; each sees itself and every earlier one.
@@ -495,7 +490,7 @@ def _decode(
     causal = None  # t == 1, every search step: the one new position sees all
     if t > 1:
         causal = np.where(np.arange(state.length + t) <= positions[:, None], 0.0, NEG_INF)
-    out = _decoder_layers(params, x, state, causal, drop, collect_attention)
+    out = _decoder_layers(params, x, state, causal, drop)
     state.length += t
     return out
 
@@ -506,19 +501,19 @@ def decoder_forward(
     memory_mask: np.ndarray | None,
     prefix_ids: np.ndarray,
     drop: Dropout | None = None,
-    collect_attention: bool = False,
 ) -> tuple[Tensor, list[np.ndarray]]:
     """Causal decoder over whole prefixes; memory=None runs LM mode.
 
     ``drop`` applies training-mode dropout and layerdrop; None is eval
-    mode.  Returns logits (B, T, dec_vocab) and, when requested, each
-    layer's cross-attention weights (B, H, T, S) as plain arrays.
+    mode.  Returns logits (B, T, dec_vocab) and each kept layer's
+    cross-attention weights (B, H, T, S), the softmax's own arrays (none in
+    LM mode); callers read them and never write to them.
     """
     prefix_ids = np.asarray(prefix_ids)
     if prefix_ids.ndim == 1:
         prefix_ids = prefix_ids[None, :]
     state = DecoderState(params, memory, memory_mask, bos_id=None)
-    return _decode(params, state, prefix_ids, drop, collect_attention)
+    return _decode(params, state, prefix_ids, drop)
 
 
 def decode_step(params: ModelParams, state: DecoderState, last_ids) -> np.ndarray:
@@ -603,7 +598,7 @@ def read_arrays(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         blob = f.read()
     end = blob.find(b"#tensors\n")
     if end < 0 or not blob.startswith(CHECKPOINT_MAGIC.encode("utf-8") + b"\n"):
-        raise MalformedCheckpoint("missing header or #tensors marker")
+        raise MalformedCheckpoint(f"{path}: missing header or #tensors marker")
     try:
         header = dict(
             line.split("=", 1) for line in blob[:end].decode("utf-8").splitlines()[1:]
@@ -624,30 +619,32 @@ def read_arrays(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             arrays[name] = data.reshape(shape)
             offset = start + 4 * count
     except ValueError as err:  # also undecodable text, a missing field, a bad number
-        raise MalformedCheckpoint(f"unreadable checkpoint: {err}") from None
+        raise MalformedCheckpoint(f"{path}: unreadable checkpoint: {err}") from None
     return header, arrays
 
 
-def check_header(header: dict[str, str], types: dict) -> dict:
-    """The header's values converted by ``types``, whose keys it must hold exactly."""
+def check_header(path, header: dict[str, str], types: dict) -> dict:
+    """The header's values converted by ``types``, whose keys it must hold
+    exactly; errors name the file at ``path``."""
     if set(header) != set(types):
         missing, unknown = sorted(set(types) - set(header)), sorted(set(header) - set(types))
-        raise MalformedCheckpoint(f"header keys: missing {missing}, unknown {unknown}")
+        raise MalformedCheckpoint(f"{path}: header keys: missing {missing}, unknown {unknown}")
     try:
         return {key: types[key](value) for key, value in header.items()}
     except ValueError as err:
-        raise MalformedCheckpoint(f"bad header value: {err}") from None
+        raise MalformedCheckpoint(f"{path}: bad header value: {err}") from None
 
 
-def check_arrays(arrays: dict[str, np.ndarray], schema) -> None:
-    """Raise MalformedCheckpoint unless ``arrays`` holds exactly the names
-    and shapes of ``schema``, a list of (name, shape)."""
+def check_arrays(path, arrays: dict[str, np.ndarray], schema) -> None:
+    """Raise MalformedCheckpoint, naming the file at ``path``, unless
+    ``arrays`` holds exactly the names and shapes of ``schema``, a list of
+    (name, shape)."""
     got = {name: a.shape for name, a in arrays.items()}
     want = {name: tuple(shape) for name, shape in schema}
     if got != want:
         bad = sorted(n for n in got.keys() | want.keys() if got.get(n) != want.get(n))
         shapes = ", ".join(f"{n} {got.get(n)} (expected {want.get(n)})" for n in bad[:3])
-        raise MalformedCheckpoint(f"arrays do not fit: {shapes}")
+        raise MalformedCheckpoint(f"{path}: arrays do not fit: {shapes}")
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -659,12 +656,12 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     header, arrays = read_arrays(path)
-    cfg = ModelConfig(**check_header(header, {f.name: int for f in fields(ModelConfig)}))
+    cfg = ModelConfig(**check_header(path, header, {f.name: int for f in fields(ModelConfig)}))
     try:
         cfg.validate()
     except InvalidConfig as err:
-        raise MalformedCheckpoint(f"bad model config: {err}") from None
-    check_arrays(arrays, _schema(cfg))
+        raise MalformedCheckpoint(f"{path}: bad model config: {err}") from None
+    check_arrays(path, arrays, _schema(cfg))
     params = ModelParams(config=cfg)
     for name, data in arrays.items():
         params.tensors[name] = Tensor(data.astype(T.default_dtype()), requires_grad=True)

@@ -115,9 +115,9 @@ def save_trainer_state(path, step: int, opt: Adam) -> None:
 def load_trainer_state(path, opt: Adam) -> int:
     """Restore ``opt`` from a saved trainer state; returns the saved step."""
     header, arrays = read_arrays(path)
-    values = check_header(header, {"step": int, "t": int})
+    values = check_header(path, header, {"step": int, "t": int})
     check_arrays(
-        arrays, [(f"{k}.{i}", p.shape) for k in "mv" for i, p in enumerate(opt.params)]
+        path, arrays, [(f"{k}.{i}", p.shape) for k in "mv" for i, p in enumerate(opt.params)]
     )
     opt.t = values["t"]
     opt.m = [arrays[f"m.{i}"].astype(p.data.dtype) for i, p in enumerate(opt.params)]

@@ -15,7 +15,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from amr2text.bpe import train_bpe  # noqa: E402
-from amr2text.toydata import toy_pairs  # noqa: E402
+from toydata import toy_pairs  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from the definitions, not from the
 package code: straightforward, slow, and structure-free, so that agreement
-with the package is evidence rather than tautology.
+with the package is evidence rather than tautology.  The exceptions are code
+the package replaced or never needed, kept verbatim as references:
+``scan_train_bpe``, ``greedy`` (argmax decoding, which stops at the first
+eos, unlike ``beam_search`` at beam 1) and ``read_attention_dump``.
 """
 
 from collections import Counter
@@ -18,8 +21,11 @@ from amr2text.bpe import (
     _word_symbols,
     special_tokens,
 )
+from amr2text.generation import Hypothesis, _log_softmax, check_max_len
 from amr2text.graph import AmrGraph
 from amr2text.langs import DEFAULT_LANGUAGES
+from amr2text.model import DecoderState, EncoderInput, ModelParams, decode_step, encode
+from amr2text.tensor import no_grad
 
 ROLES = (":ARG0", ":ARG1", ":ARG2", ":mod", ":time", ":op1", ":manner")
 CONCEPTS = (
@@ -356,3 +362,44 @@ def scan_train_bpe(
         specials=specials_map,
         protected=frozenset(protected),
     )
+
+
+def greedy(
+    params: ModelParams,
+    enc_input: EncoderInput,
+    max_len: int,
+    bos_id: int,
+    eos_id: int,
+) -> Hypothesis:
+    """Argmax decoding; the score is the raw logprob (alpha 0)."""
+    check_max_len(params, max_len)
+    with no_grad():
+        memory, memory_mask = encode(params, enc_input)
+        state = DecoderState(params, memory, memory_mask, bos_id)
+        ids: tuple[int, ...] = (bos_id,)
+        logprob = 0.0
+        for _ in range(max_len):
+            logp = _log_softmax(decode_step(params, state, [ids[-1]]))[0]
+            if len(ids) - 1 + 1 >= max_len:
+                token = eos_id
+            else:
+                token = int(logp.argmax())
+            logprob += float(logp[token])
+            ids = ids + (token,)
+            if token == eos_id:
+                break
+    return Hypothesis(ids=ids, logprob=logprob, score=logprob)
+
+
+def read_attention_dump(path) -> tuple[list[str], list[str], np.ndarray]:
+    """Inverse of attention_dump: (column labels, row labels, matrix)."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    columns = lines[0].split("\t")[1:]
+    rows: list[str] = []
+    values: list[list[float]] = []
+    for line in lines[1:]:
+        fields = line.split("\t")
+        rows.append(fields[0])
+        values.append([float(v) for v in fields[1:]])
+    return columns, rows, np.asarray(values)

@@ -14,6 +14,7 @@ import pytest
 from scipy.stats import chi2
 
 import oracles
+from oracles import greedy, read_attention_dump
 from amr2text.bpe import decode, encode, special_tokens, train_bpe
 from amr2text.corpus import (
     Batch,
@@ -30,7 +31,7 @@ from amr2text.evaluation import (
     tokenize_13a,
     write_human_eval_sheet,
 )
-from amr2text.generation import BeamConfig, beam_search, greedy, attention_dump, read_attention_dump
+from amr2text.generation import BeamConfig, attention_dump, beam_search
 from amr2text.graph import parse_penman, serialize_penman
 from amr2text.linearize import (
     LinearizedAmr,
@@ -58,7 +59,7 @@ from amr2text.pretraining import (
     shuffle_segments,
 )
 from amr2text.tensor import gradcheck_mode, no_grad
-from amr2text.toydata import toy_pairs
+from toydata import toy_pairs
 from amr2text.training import TrainConfig, batch_loss, initialize_for_finetune, train
 
 pytestmark = pytest.mark.acceptance

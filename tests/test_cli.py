@@ -18,10 +18,11 @@ from amr2text import cli
 from amr2text.bpe import decode as bpe_decode
 from amr2text.bpe import load_bpe
 from amr2text.corpus import encode_linearized, load_examples
-from amr2text.generation import BeamConfig, beam_search, read_attention_dump
+from amr2text.generation import BeamConfig, beam_search
 from amr2text.linearize import read_linearized
 from amr2text.model import EncoderInput, ModelConfig, load_checkpoint, read_arrays
 from amr2text.cli import DEFAULTS, main
+from oracles import read_attention_dump
 
 TOY = os.path.join(os.path.dirname(__file__), "..", "data", "toy")
 
@@ -361,6 +362,21 @@ def test_overlap_stats_bad_bleu_value(tmp_path, amr_file):
         "overlap-stats", "--amr", amr_file, "--bpe", "x",
         "--target", "en=/nope", "--bleu", "en=notanumber",
     ) == 1
+
+
+def test_overlap_stats_target_and_bleu_name_the_same_languages(tmp_path, amr_file, capsys):
+    """A language given to only one of --target and --bleu is a usage error
+    naming it; a --bleu language outside the registry is rejected like a
+    --target one."""
+    targets = [f"--target={lang}=/nope" for lang in ("en", "de", "fr", "es")]
+    bleus = [f"--bleu={lang}=10" for lang in ("en", "de", "fr", "it")]
+    assert run("overlap-stats", "--amr", amr_file, "--bpe", "x", *targets, *bleus) == 1
+    assert capsys.readouterr().err == (
+        "error: --target and --bleu name different languages: es,it\n"
+    )
+    assert run("overlap-stats", "--amr", amr_file, "--bpe", "x", *targets, *bleus,
+               "--bleu", "zz=5") == 2
+    assert "'zz'" in capsys.readouterr().err
 
 
 # --- quickstart chain --------------------------------------------------------
@@ -706,6 +722,49 @@ def test_train_checks_examples_against_the_model_before_work(quickstart, case, t
                "--dec-bpe", quickstart["dec_bpe"], "--seed", "1",
                "--config", str(w / "train.cfg"), "--out-dir", str(out)) == 2
     assert capsys.readouterr().err == f"data error: {path}: example {n}: {expected}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["enc-merge", "dec-merge", "dec-not-utf8", "ckpt-header"])
+def test_generate_model_file_errors_name_the_file(quickstart, case, tmp_path, capsys):
+    """A broken bpe.model or checkpoint fails with its own path in the message."""
+    paths = {"enc": Path(quickstart["enc_bpe"]), "dec": Path(quickstart["dec_bpe"]),
+             "ckpt": Path(quickstart["model"])}
+    kind = case.split("-")[0]
+    bad = tmp_path / paths[kind].name
+    if kind == "ckpt":
+        blob = paths[kind].read_bytes()
+        assert b"\nd_model=32\n" in blob
+        bad.write_bytes(blob.replace(b"\nd_model=32\n", b"\nd_model=x\n", 1))
+        expected = f"{bad}: bad header value: invalid literal for int() with base 10: 'x'"
+    elif case == "dec-not-utf8":
+        lines = paths[kind].read_bytes().split(b"\n")
+        lines[4] = b"\xff \xfe"
+        bad.write_bytes(b"\n".join(lines))
+        expected = f"{bad}: line 5: not UTF-8 text"
+    else:
+        lines = paths[kind].read_text(encoding="utf-8").split("\n")
+        lines[4] += " extra"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        expected = f"{bad}: line 5: merge line must be 'left right'"
+    paths[kind] = bad
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("generate", "--model", str(paths["ckpt"]), "--input", quickstart["test_lin"],
+               "--enc-bpe", str(paths["enc"]), "--dec-bpe", str(paths["dec"]),
+               "--max-len", str(MAX_LEN), "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == f"data error: {expected}\n"
+    assert not out.exists()
+
+
+def test_build_corpus_rejects_a_language_the_manifest_lacks(quickstart, tmp_path, capsys):
+    out = tmp_path / "corpus"
+    capsys.readouterr()
+    assert run("build-corpus", "--manifest", f"{TOY}/manifest.tsv",
+               "--enc-bpe", quickstart["enc_bpe"], "--dec-bpe", quickstart["dec_bpe"],
+               "--languages", "en,fr", "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {TOY}/manifest.tsv: no entries for --languages fr\n"
     assert not out.exists()
 
 

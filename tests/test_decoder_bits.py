@@ -17,10 +17,11 @@ import pytest
 
 from amr2text.bpe import train_bpe
 from amr2text.corpus import ParallelExample
-from amr2text.generation import BeamConfig, beam_search, cross_attention_matrix, greedy
+from amr2text.generation import BeamConfig, beam_search, cross_attention_matrix
 from amr2text.model import EncoderInput, ModelConfig, build
 from amr2text.pretraining import pretrain_decoder
 from amr2text.training import TrainConfig, train
+from oracles import greedy
 
 PINNED_ENV = (
     "2.4.6",

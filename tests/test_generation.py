@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import greedy, read_attention_dump
 from amr2text.generation import (
     BeamConfig,
     Hypothesis,
@@ -11,9 +12,7 @@ from amr2text.generation import (
     attention_dump,
     beam_search,
     cross_attention_matrix,
-    greedy,
     length_penalty,
-    read_attention_dump,
     top_candidates,
 )
 from amr2text.model import (

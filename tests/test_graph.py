@@ -153,6 +153,18 @@ def test_children_follow_edge_order():
     assert g.children() == {"d": ["m", "y"], "m": [], "y": ["m"]}
 
 
+def test_built_graph_cannot_be_broken():
+    g = parse_penman("(w / want-01 :ARG0 (b / boy))")
+    with pytest.raises(TypeError):
+        del g.nodes["b"]
+    with pytest.raises(TypeError):
+        g.nodes["x"] = "extra"
+    nodes = {"w": "want-01", "b": "boy"}
+    built = AmrGraph(root="w", nodes=nodes, edges=(("w", ":ARG0", "b"),))
+    del nodes["b"]  # the graph holds its own copy
+    assert built == g and dict(g.nodes) == {"w": "want-01", "b": "boy"}
+
+
 def test_iter_blocks_one_per_line():
     text = "(a / x)\n(b / y)\n(c / z)\n"
     assert len(list(iter_penman_blocks(text))) == 3

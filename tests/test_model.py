@@ -1,6 +1,7 @@
 """Transformer model tests: shapes, masking, tying, checkpoints."""
 
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -81,7 +82,7 @@ def test_parameter_schema_shapes(params):
     assert params["enc_in_proj"].shape == (6 + 4 + 3 + 3, 16)
     assert params["dec_in_proj"].shape == (6 + 4, 16)
     assert params["dec_out_proj"].shape == (16, 6)  # back to d_word for tying
-    assert params.n_parameters() > 0
+    assert sum(t.data.size for t in params.tensors.values()) > 0
     assert len(params.parameters()) == len(params.tensors)
 
 
@@ -138,9 +139,7 @@ def test_lm_mode_runs_without_memory(params):
 
 def test_cross_attention_collected(params):
     memory, mask = encode(params, enc_in([[1, 2, 3, 4, 5]]))
-    _, weights = decoder_forward(
-        params, memory, mask, np.array([[1, 4, 6]]), collect_attention=True
-    )
+    _, weights = decoder_forward(params, memory, mask, np.array([[1, 4, 6]]))
     assert len(weights) == TINY.dec_layers
     for w in weights:
         assert w.shape == (1, TINY.n_heads, 3, 5)
@@ -292,7 +291,7 @@ def test_checkpoint_truncated(tmp_path, params):
 
 
 @pytest.mark.parametrize("case", [
-    "config key missing", "config invalid", "tensor shape",
+    "config key missing", "config value", "config invalid", "tensor shape",
     "state arrays missing", "state shapes", "v1 magic",
 ])
 def test_reader_rejects_files_that_do_not_fit(tmp_path, params, case):
@@ -301,6 +300,8 @@ def test_reader_rejects_files_that_do_not_fit(tmp_path, params, case):
     load = load_checkpoint
     if case == "config key missing":
         del header["d_pos"]
+    elif case == "config value":
+        header["d_pos"] = "x"
     elif case == "config invalid":
         header["n_heads"] = 3  # d_model 16 is not divisible by 3
     elif case == "tensor shape":
@@ -320,7 +321,7 @@ def test_reader_rejects_files_that_do_not_fit(tmp_path, params, case):
         # the previous format: its magic line, and the rates in the header
         v1 = b"amr2text-checkpoint v1\ndropout=0.1\nlayerdrop=0.0\n"
         path.write_bytes(path.read_bytes().replace(b"amr2text-checkpoint v2\n", v1, 1))
-    with pytest.raises(MalformedCheckpoint):
+    with pytest.raises(MalformedCheckpoint, match=f"^{re.escape(str(path))}: "):
         load(path)
 
 

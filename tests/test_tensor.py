@@ -14,7 +14,7 @@ from amr2text import tensor as T
 def fd_check(fn, inputs, rel_tol=1e-6, eps=1e-6):
     """Compare analytic grads of scalar fn(*inputs) against central FD."""
     with T.gradcheck_mode():
-        tensors = [T.tensor(x, requires_grad=True) for x in inputs]
+        tensors = [T.Tensor(x, requires_grad=True) for x in inputs]
         loss = fn(*tensors)
         loss.backward()
         grads = [t.grad.copy() for t in tensors]
@@ -24,9 +24,9 @@ def fd_check(fn, inputs, rel_tol=1e-6, eps=1e-6):
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up = fn(*[T.tensor(v) for v in inputs]).item()
+                up = fn(*[T.Tensor(v) for v in inputs]).item()
                 flat[i] = orig - eps
-                down = fn(*[T.tensor(v) for v in inputs]).item()
+                down = fn(*[T.Tensor(v) for v in inputs]).item()
                 flat[i] = orig
                 num[i] = (up - down) / (2 * eps)
             err = np.abs(num - ana.reshape(-1))
@@ -39,7 +39,7 @@ def _proj(shape, seed=0):
 
     def reduce(t):
         flat = T.reshape(t, (1, -1))
-        return T.reshape(T.matmul(flat, T.tensor(w.reshape(-1, 1))), ())
+        return T.reshape(T.matmul(flat, T.Tensor(w.reshape(-1, 1))), ())
 
     return reduce
 
@@ -92,7 +92,7 @@ def test_softmax_grad(r):
 
 def test_softmax_rows_sum_to_one(r):
     with T.gradcheck_mode():
-        x = T.tensor(rand(r, 4, 9) * 10)
+        x = T.Tensor(rand(r, 4, 9) * 10)
         s = T.softmax(x, axis=-1)
     np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -106,7 +106,7 @@ def test_layernorm_grad(r):
 def test_layernorm_normalizes(r):
     x = rand(r, 6, 16) * 3 + 5
     with T.gradcheck_mode():
-        out = T.layernorm(T.tensor(x), T.tensor(np.ones(16)), T.tensor(np.zeros(16)))
+        out = T.layernorm(T.Tensor(x), T.Tensor(np.ones(16)), T.Tensor(np.zeros(16)))
     np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-9)
     np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
 
@@ -146,7 +146,7 @@ def test_label_smoothed_nll_value_matches_numpy_oracle(r):
     targets = np.array([3, 0, 5, 1])
     eps, pad = 0.1, 0
     with T.gradcheck_mode():
-        got = T.label_smoothed_nll(T.tensor(logits), targets, eps=eps, pad_id=pad).item()
+        got = T.label_smoothed_nll(T.Tensor(logits), targets, eps=eps, pad_id=pad).item()
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     keep = targets != pad
@@ -160,7 +160,7 @@ def test_label_smoothed_nll_eps_zero_is_plain_nll(r):
     logits = rand(r, 3, 4)
     targets = np.array([1, 2, 3])
     with T.gradcheck_mode():
-        got = T.label_smoothed_nll(T.tensor(logits), targets, eps=0.0, pad_id=0).item()
+        got = T.label_smoothed_nll(T.Tensor(logits), targets, eps=0.0, pad_id=0).item()
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     assert abs(got + logp[np.arange(3), targets].mean()) < 1e-12
@@ -168,16 +168,16 @@ def test_label_smoothed_nll_eps_zero_is_plain_nll(r):
 
 def test_label_smoothed_nll_all_pad_raises():
     with pytest.raises(T.AllPadTarget):
-        T.label_smoothed_nll(T.tensor(np.zeros((2, 3))), np.array([0, 0]), 0.1, pad_id=0)
+        T.label_smoothed_nll(T.Tensor(np.zeros((2, 3))), np.array([0, 0]), 0.1, pad_id=0)
 
 
 def test_label_smoothed_nll_bad_eps():
     with pytest.raises(ValueError):
-        T.label_smoothed_nll(T.tensor(np.zeros((1, 3))), np.array([1]), 1.0, pad_id=0)
+        T.label_smoothed_nll(T.Tensor(np.zeros((1, 3))), np.array([1]), 1.0, pad_id=0)
 
 
 def test_dropout_train_and_eval(r):
-    x = T.tensor(np.ones((1000,)), requires_grad=True)
+    x = T.Tensor(np.ones((1000,)), requires_grad=True)
     gen = np.random.default_rng(0)
     out = T.dropout(x, 0.25, gen)
     zeros = (out.data == 0).mean()
@@ -192,9 +192,9 @@ def test_dropout_grad_routes_through_mask(r):
     x = rand(r, 50)
     gen = np.random.default_rng(7)
     with T.gradcheck_mode():
-        t = T.tensor(x, requires_grad=True)
+        t = T.Tensor(x, requires_grad=True)
         out = T.dropout(t, 0.5, gen)
-        loss = T.matmul(T.reshape(out, (1, -1)), T.reshape(T.tensor(np.ones(50)), (-1, 1)))
+        loss = T.matmul(T.reshape(out, (1, -1)), T.reshape(T.Tensor(np.ones(50)), (-1, 1)))
         T.reshape(loss, ()).backward()
         mask = out.data != 0
         np.testing.assert_allclose(t.grad[mask], 2.0)
@@ -203,8 +203,8 @@ def test_dropout_grad_routes_through_mask(r):
 
 def test_diamond_graph_accumulates(r):
     # z = x*y + x : dz/dx = y + 1, dz/dy = x
-    x = T.tensor(np.array(3.0), requires_grad=True)
-    y = T.tensor(np.array(5.0), requires_grad=True)
+    x = T.Tensor(np.array(3.0), requires_grad=True)
+    y = T.Tensor(np.array(5.0), requires_grad=True)
     z = T.add(T.mul(x, y), x)
     z.backward()
     assert x.grad.item() == 6.0
@@ -212,7 +212,7 @@ def test_diamond_graph_accumulates(r):
 
 
 def test_shared_subexpression_counts_once_per_path(r):
-    x = T.tensor(np.array(2.0), requires_grad=True)
+    x = T.Tensor(np.array(2.0), requires_grad=True)
     s = T.mul(x, x)  # x^2
     z = T.add(s, s)  # 2x^2 -> dz/dx = 4x = 8
     z.backward()
@@ -220,23 +220,23 @@ def test_shared_subexpression_counts_once_per_path(r):
 
 
 def test_backward_requires_scalar():
-    x = T.tensor(np.ones(3), requires_grad=True)
+    x = T.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(T.NonScalarLoss):
         T.mul(x, x).backward()
 
 
 def test_backward_releases_graph():
-    x = T.tensor(np.array(2.0), requires_grad=True)
+    x = T.Tensor(np.array(2.0), requires_grad=True)
     z = T.mul(x, x)
     z.backward()
     assert z._parents == () and z._backward is None
 
 
 def test_backward_keeps_leaf_grads_and_drops_interior_ones():
-    x = T.tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-    w = T.tensor(np.array([[3.0, 4.0]]), requires_grad=True)
+    x = T.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    w = T.Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
     h = T.mul(x, w)
-    s = T.matmul(h, T.tensor(np.ones((2, 1))))
+    s = T.matmul(h, T.Tensor(np.ones((2, 1))))
     z = T.reshape(s, ())
     z.backward()
     np.testing.assert_array_equal(x.grad, [[3.0, 4.0]])
@@ -245,7 +245,7 @@ def test_backward_keeps_leaf_grads_and_drops_interior_ones():
 
 
 def test_zero_grad_and_accumulation():
-    x = T.tensor(np.array(1.0), requires_grad=True)
+    x = T.Tensor(np.array(1.0), requires_grad=True)
     T.mul(x, x).backward()
     T.mul(x, x).backward()
     assert x.grad.item() == 4.0  # grads accumulate across backwards
@@ -254,7 +254,7 @@ def test_zero_grad_and_accumulation():
 
 
 def test_no_grad_blocks_recording():
-    x = T.tensor(np.array(2.0), requires_grad=True)
+    x = T.Tensor(np.array(2.0), requires_grad=True)
     with T.no_grad():
         z = T.mul(x, x)
     assert z._parents == ()
@@ -263,13 +263,13 @@ def test_no_grad_blocks_recording():
 
 def test_shape_mismatch_raises():
     with pytest.raises(T.ShapeMismatch):
-        T.matmul(T.tensor(np.ones((2, 3))), T.tensor(np.ones((2, 3))))
+        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
 
 
 def test_gradcheck_mode_sets_float64():
     assert T.default_dtype() == np.float32
     with T.gradcheck_mode():
-        assert T.tensor(np.zeros(2)).data.dtype == np.float64
+        assert T.Tensor(np.zeros(2)).data.dtype == np.float64
     assert T.default_dtype() == np.float32
 
 

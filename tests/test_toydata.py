@@ -6,7 +6,7 @@ import pytest
 
 from amr2text.graph import parse_penman
 from amr2text.langs import UnknownLanguage
-from amr2text.toydata import (
+from toydata import (
     TOY_LANGUAGES,
     toy_amr_lines,
     toy_pairs,

@@ -1,4 +1,4 @@
-"""Deterministic synthetic AMR-to-text corpora for tests and demos.
+"""Deterministic synthetic AMR-to-text corpora for the tests.
 
 A tiny closed grammar over invented lexicons produces aligned examples in
 up to three "languages" that reuse real language tags: en (SVO, adjective
@@ -10,14 +10,12 @@ conditioning has something to do.
 
 from __future__ import annotations
 
-import argparse
 import os
-import sys
 from dataclasses import dataclass
 
-from .corpus import SPLIT_LABELS
-from .langs import UnknownLanguage
-from .tensor import Rng
+from amr2text.corpus import SPLIT_LABELS
+from amr2text.langs import UnknownLanguage
+from amr2text.tensor import Rng
 
 TOY_LANGUAGES = ("en", "de", "fr")
 
@@ -176,28 +174,3 @@ def write_toy_corpus(
         for line in lines:
             f.write(line + "\n")
     return manifest_path
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python3 -m amr2text.toydata",
-        description="Regenerate the bundled synthetic corpus.",
-    )
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--train", type=int, default=64)
-    parser.add_argument("--valid", type=int, default=8)
-    parser.add_argument("--test", type=int, default=8)
-    parser.add_argument("--languages", default="en,de")
-    parser.add_argument("--seed", type=int, required=True)
-    args = parser.parse_args(argv)
-    counts = {"train": args.train, "valid": args.valid, "test": args.test}
-    counts = {k: v for k, v in counts.items() if v > 0}
-    path = write_toy_corpus(
-        args.out, counts, languages=tuple(args.languages.split(",")), seed=args.seed
-    )
-    print(path)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
