@@ -81,28 +81,46 @@ ADAM_EPS = 1e-9
 
 
 class Adam:
-    """Adam over a fixed parameter list."""
+    """Adam over a fixed parameter list of one dtype.
+
+    ``step`` updates the moments and the parameters in place, through two
+    scratch buffers sized to the largest parameter.  It runs the same
+    ufuncs on the same operands in the same order as the plain expression
+    ``m = b1 * m + (1 - b1) * g`` and so on, so the bits are the same.
+    """
 
     def __init__(self, params: list[Tensor]):
+        dtypes = {p.data.dtype for p in params}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam needs one parameter dtype, got {sorted(map(str, dtypes))}")
         self.params = params
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
+        size = max((p.data.size for p in params), default=0)
+        dtype = dtypes.pop() if dtypes else np.float32
+        self._scratch = (np.empty(size, dtype), np.empty(size, dtype))
 
     def step(self, lr: float) -> None:
         b1, b2 = ADAM_BETAS
         self.t += 1
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            mhat = self.m[i] / bias1
-            vhat = self.v[i] / bias2
-            p.data -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.data.dtype)
+            s1, s2 = (buf[: g.size].reshape(g.shape) for buf in self._scratch)
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(b1, m, out=m)
+            np.add(m, np.multiply(1.0 - b1, g, out=s1), out=m)
+            # v = b2 * v + (1 - b2) * (g * g)
+            np.multiply(b2, v, out=v)
+            np.add(v, np.multiply(1.0 - b2, np.multiply(g, g, out=s1), out=s1), out=v)
+            # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.multiply(lr, np.divide(m, bias1, out=s1), out=s1)
+            np.add(np.sqrt(np.divide(v, bias2, out=s2), out=s2), ADAM_EPS, out=s2)
+            np.subtract(p.data, np.divide(s1, s2, out=s1), out=p.data)
 
 
 def save_trainer_state(path, step: int, opt: Adam) -> None:

@@ -4,8 +4,10 @@ Everything here is deliberately written from the definitions, not from the
 package code: straightforward, slow, and structure-free, so that agreement
 with the package is evidence rather than tautology.  The exceptions are code
 the package replaced or never needed, kept verbatim as references:
-``scan_train_bpe``, ``greedy`` (argmax decoding, which stops at the first
-eos, unlike ``beam_search`` at beam 1) and ``read_attention_dump``.
+``scan_train_bpe``, ``ExpressionAdam`` (Adam as one numpy expression per
+moment, allocating its temporaries), ``greedy`` (argmax decoding, which
+stops at the first eos, unlike ``beam_search`` at beam 1) and
+``read_attention_dump``.
 """
 
 from collections import Counter
@@ -25,7 +27,8 @@ from amr2text.generation import Hypothesis, _log_softmax, check_max_len
 from amr2text.graph import AmrGraph
 from amr2text.langs import DEFAULT_LANGUAGES
 from amr2text.model import DecoderState, EncoderInput, ModelParams, decode_step, encode
-from amr2text.tensor import no_grad
+from amr2text.tensor import Tensor, no_grad
+from amr2text.training import ADAM_BETAS, ADAM_EPS
 
 ROLES = (":ARG0", ":ARG1", ":ARG2", ":mod", ":time", ":op1", ":manner")
 CONCEPTS = (
@@ -263,6 +266,31 @@ def exhaustive_best_sequence(
 
     walk((bos_id,), 0.0)
     return best
+
+
+class ExpressionAdam:
+    """The expression-form Adam that ``training.Adam`` replaced, kept verbatim."""
+
+    def __init__(self, params: list[Tensor]):
+        self.params = params
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self, lr: float) -> None:
+        b1, b2 = ADAM_BETAS
+        self.t += 1
+        bias1 = 1.0 - b1**self.t
+        bias2 = 1.0 - b2**self.t
+        for i, p in enumerate(self.params):
+            g = p.grad
+            if g is None:
+                continue
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            mhat = self.m[i] / bias1
+            vhat = self.v[i] / bias2
+            p.data -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.data.dtype)
 
 
 def scan_train_bpe(

@@ -253,6 +253,30 @@ def test_zero_grad_and_accumulation():
     assert x.grad is None
 
 
+@pytest.mark.parametrize("case", ["plain", "transposed", "negative zero", "float64 into float32",
+                                  "fortran data"])
+def test_first_accumulate_matches_zeros_plus_g(r, case):
+    """A fresh tensor's first gradient has the bytes and strides of
+    zeros_like(data) += g."""
+    data = np.zeros((3, 4), dtype=np.float32)
+    g = r.normal(size=(3, 4)).astype(np.float32)
+    if case == "transposed":
+        g = np.ascontiguousarray(g.T).T
+    elif case == "negative zero":
+        g[0] = -0.0
+    elif case == "float64 into float32":
+        g = g.astype(np.float64) / 3.0
+    elif case == "fortran data":
+        data = np.asfortranarray(data)
+    want = np.zeros_like(data)
+    want += g
+    x = T.Tensor(data, requires_grad=True, dtype=np.float32)
+    x._accumulate(g)
+    assert x.grad.dtype == want.dtype
+    assert x.grad.strides == want.strides
+    assert x.grad.tobytes(order="A") == want.tobytes(order="A")
+
+
 def test_no_grad_blocks_recording():
     x = T.Tensor(np.array(2.0), requires_grad=True)
     with T.no_grad():

@@ -21,6 +21,7 @@ from amr2text.training import (
     save_trainer_state,
     train,
 )
+from oracles import ExpressionAdam
 
 
 def tiny_cfg(enc_vocab=13, dec_vocab=11, **kw):
@@ -100,6 +101,34 @@ def test_adam_matches_reference_implementation():
         vhat = v / (1 - 0.98**t)
         ref -= 0.01 * mhat / (np.sqrt(vhat) + 1e-9)
     np.testing.assert_allclose(p.data, ref.astype(np.float32), atol=1e-6)
+
+
+def test_adam_in_place_step_matches_expression_bits():
+    """Parameters and both moments equal the expression form's bytes over
+    several steps, on mixed shapes, with one parameter never given a grad."""
+    rng = np.random.default_rng(7)
+    shapes = [(5, 3), (7,), (2, 3, 4), (1,), (6, 2)]
+    data = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    ours = [Tensor(d.copy(), requires_grad=True) for d in data]
+    theirs = [Tensor(d.copy(), requires_grad=True) for d in data]
+    opt, ref = Adam(ours), ExpressionAdam(theirs)
+    for step in range(1, 7):
+        for i, (a, b) in enumerate(zip(ours, theirs)):
+            g = None if i == 3 else (rng.normal(size=shapes[i]) * 10.0**-i).astype(np.float32)
+            a.grad, b.grad = g, None if g is None else g.copy()
+        lr = 0.01 * step**-0.5
+        opt.step(lr)
+        ref.step(lr)
+        for a, b, m, rm, v, rv in zip(ours, theirs, opt.m, ref.m, opt.v, ref.v):
+            assert a.data.tobytes() == b.data.tobytes()
+            assert m.tobytes() == rm.tobytes() and v.tobytes() == rv.tobytes()
+    np.testing.assert_array_equal(ours[3].data, data[3])
+
+
+def test_adam_rejects_mixed_dtypes():
+    params = [Tensor(np.ones(2), dtype=np.float32), Tensor(np.ones(2), dtype=np.float64)]
+    with pytest.raises(ValueError, match="one parameter dtype"):
+        Adam(params)
 
 
 def test_adam_skips_params_without_grad():
@@ -184,6 +213,12 @@ def test_trainer_state_round_trip(tmp_path):
     step = load_trainer_state(path, opt2)
     assert step == 17
     assert opt2.t == opt.t
+    np.testing.assert_array_equal(opt2.m[0], opt.m[0])
+    np.testing.assert_array_equal(opt2.v[0], opt.v[0])
+    # The loaded moments are updated in place by the next step.
+    opt2.params[0].grad = p.grad.copy()
+    opt.step(0.01)
+    opt2.step(0.01)
     np.testing.assert_array_equal(opt2.m[0], opt.m[0])
     np.testing.assert_array_equal(opt2.v[0], opt.v[0])
 
