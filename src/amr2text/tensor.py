@@ -221,6 +221,16 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
+        if b.ndim == 2 and a.ndim > 2:
+            # Activations times a weight: one 2-D GEMM over the flattened
+            # leading dims, not one per leading index.  The forward stays
+            # stacked, so decoding bits do not depend on the batch.
+            k, n = b.shape
+            if a.requires_grad:
+                a._accumulate((g.reshape(-1, n) @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            return
         if a.requires_grad:
             ga = g @ b.data.swapaxes(-1, -2)
             a._accumulate(_unbroadcast(ga, a.shape))

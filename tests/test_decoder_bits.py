@@ -119,20 +119,20 @@ def test_decoding_bits(trained):
 # per input the beam best log-probability at alpha 0 and 1 and greedy's.
 PINNED = {
     "train": (
-        "f264d69ef263b0ead108b53a6a7f9878a2f70c33778452f30d16e0f2465f12fe",
-        [2.9441376, 2.9168656, 2.8004937, 2.6166902, 2.6479614, 2.6943078,
-         2.6225045, 2.53929, 2.6675751, 2.6078053, 2.4944727, 2.3289957],
+        "479f6369fc67ed3e93be45a4581244d44047f486d73920a5f1df5d77fad5a313",
+        [2.9441376, 2.9168656, 2.8004937, 2.6166902, 2.6479611, 2.6943078,
+         2.6225047, 2.53929, 2.6675751, 2.6078055, 2.494473, 2.3289957],
     ),
     "lm": (
-        "3971b1005a1e5aee70a32f2bc362702ece3add8e4adb25bdaa3d8f0537dfb163",
-        [3.7949767, 3.9275277, 3.6654236, 3.8718841, 3.3857105, 4.0451326,
-         3.6139035, 3.3205397, 3.8581305, 3.311269, 3.2557714, 3.4564435],
+        "085fdb9777bc611ce92f71cf95c6bd482a2918adcaf62dbadffe631a39a63370",
+        [3.7949767, 3.9275277, 3.6654241, 3.8718841, 3.3857105, 4.0451326,
+         3.6139035, 3.3205397, 3.8581302, 3.3112688, 3.2557714, 3.4564438],
     ),
     "decode": (
-        "79a6a640b1fd522bd052422e773adcb46acc8574a635242b6efafbe075b3a40f",
-        [-7.1077576, -7.1077576, -17.1401062, -7.2893233, -7.2893233, -17.4863588,
-         -6.9672794, -6.9672794, -17.4613372, -7.3534822, -7.3534822, -18.3984994,
-         -7.476109, -7.476109, -18.102507, -7.5535984, -7.5535984, -18.2313972,
-         -7.5524817, -7.5524817, -18.0551082, -7.4169016, -7.4169016, -18.1309566],
+        "4f2e0afb8d49bd55e40ca488d897c534e93da343ff35b33c18873bcd52ebd3b3",
+        [-7.1077585, -7.1077585, -17.140106, -7.2893233, -7.2893233, -17.4863582,
+         -6.9672785, -6.9672785, -17.4613348, -7.3534822, -7.3534822, -18.3984979,
+         -7.476109, -7.476109, -18.102507, -7.5535975, -7.5535975, -18.2313952,
+         -7.5524807, -7.5524807, -18.0551064, -7.4169006, -7.4169006, -18.1309551],
     ),
 }

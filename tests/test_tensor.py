@@ -77,6 +77,26 @@ def test_matmul_grad_batched(r):
     fd_check(lambda x, y: p(T.matmul(x, y)), [a, b])
 
 
+def test_matmul_grad_3d_activations_times_weight(r):
+    a, b = rand(r, 2, 3, 4), rand(r, 4, 5)
+    p = _proj((30,))
+    fd_check(lambda x, y: p(T.matmul(x, y)), [a, b])
+
+
+def test_matmul_grad_4d_activations_times_weight(r):
+    a, b = rand(r, 2, 3, 2, 4), rand(r, 4, 5)
+    p = _proj((60,))
+    fd_check(lambda x, y: p(T.matmul(x, y)), [a, b])
+
+
+def test_matmul_grad_times_swapped_table(r):
+    """The tied output projection: activations times the embedding table's
+    swapaxes view."""
+    a, table = rand(r, 2, 3, 4), rand(r, 5, 4)
+    p = _proj((30,))
+    fd_check(lambda x, t: p(T.matmul(x, T.swapaxes(t, 0, 1))), [a, table])
+
+
 def test_relu_grad(r):
     x = rand(r, 5, 6)
     x[np.abs(x) < 1e-2] += 0.5  # keep probes away from the kink
