@@ -35,7 +35,6 @@ class UnknownId(ValueError):
 class MalformedVocabFile(ValueError):
     def __init__(self, path, message: str, line_number: int):
         super().__init__(f"{path}: line {line_number}: {message}")
-        self.line_number = line_number
 
 
 def special_tokens(languages: frozenset[str] = DEFAULT_LANGUAGES) -> tuple[str, ...]:

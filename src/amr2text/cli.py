@@ -204,13 +204,16 @@ def _load_graphs(path: str):
 
 
 def _lang_map(items: list[str], flag: str, convert=str) -> dict:
-    """Repeated ``LANG=VALUE`` flag values as {lang: convert(VALUE)}."""
+    """Repeated ``LANG=VALUE`` flag values as {lang: convert(VALUE)}; a
+    language given twice is a usage error."""
     out = {}
     for item in items:
         if "=" not in item:
             raise UsageError(f"{flag} expects LANG=VALUE, got {item!r}")
         lang, value = item.split("=", 1)
         check_language(lang)
+        if lang in out:
+            raise UsageError(f"{flag} gives {lang!r} more than once")
         try:
             out[lang] = convert(value)
         except ValueError:
@@ -371,11 +374,9 @@ def cmd_pretrain_encoder(args, cfg) -> int:
 
 
 def cmd_pretrain_decoder(args, cfg) -> int:
+    text_paths = _lang_map(args.text, "--text")
     dec_model = load_bpe(args.bpe)
-    corpora = {
-        lang: _read_lines(path)
-        for lang, path in _lang_map(args.text, "--text").items()
-    }
+    corpora = {lang: _read_lines(path) for lang, path in text_paths.items()}
     for lang, lines in corpora.items():
         if not lines:
             raise ValueError(f"no monolingual lines for {lang!r}")

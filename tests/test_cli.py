@@ -670,6 +670,23 @@ def test_empty_training_data_exits_2_before_work(quickstart, case, tmp_path):
     assert not out.exists()
 
 
+def test_language_given_twice_is_usage_error_before_work(quickstart, amr_file, tmp_path,
+                                                        capsys):
+    """Both values of a repeated LANG=VALUE language would otherwise reach
+    the run as the last one alone."""
+    w = quickstart["w"]
+    out = tmp_path / "out"
+    assert run("pretrain-decoder", "--text", f"en={TOY}/train.en.txt",
+               "--text", f"en={TOY}/valid.en.txt", "--bpe", quickstart["dec_bpe"],
+               "--seed", "1", "--config", str(w / "train.cfg"), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == "error: --text gives 'en' more than once\n"
+    assert not out.exists()
+    assert run("overlap-stats", "--amr", amr_file, "--bpe", "x", "--target", "en=/a",
+               "--bleu", "en=1", "--bleu", "en=2", "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == "error: --bleu gives 'en' more than once\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["train", "valid"])
 def test_train_rejects_targets_without_bos_before_work(quickstart, case, tmp_path):
     """Every target of train.examples (or valid.examples) starts with id 7,
