@@ -224,7 +224,7 @@ def matmul(a, b) -> Tensor:
         if b.ndim == 2 and a.ndim > 2:
             # Activations times a weight: one 2-D GEMM over the flattened
             # leading dims, not one per leading index.  The forward stays
-            # stacked, so decoding bits do not depend on the batch.
+            # stacked; decoding runs no backward, so its bits stay put.
             k, n = b.shape
             if a.requires_grad:
                 a._accumulate((g.reshape(-1, n) @ b.data.T).reshape(a.shape))
