@@ -81,6 +81,9 @@ def _bool(raw: str) -> bool:
 SECTIONS = {"train": TrainConfig, "model": ModelConfig, "beam": BeamConfig, "noise": NoiseSpec}
 _CLI_SET = {"train.seed", "noise.seed", "model.enc_vocab", "model.dec_vocab"}
 CHOICES = {"corpus.split_mode": ("common-test", "derive")}
+# The least value of each integer key that no dataclass checks.
+MINIMUMS = {"noise.rounds": 1, "corpus.derive_n": 1, "bpe.merges": 0,
+            "sheet.n_high": 0, "sheet.n_low": 0, "sheet.min_words": 0}
 
 
 def _keyed_fields(section: str):
@@ -158,6 +161,9 @@ def resolve_config(args) -> dict:
             raise UsageError(
                 f"bad value for {key}: {cfg[key]!r} (choose from {', '.join(choices)})"
             )
+    for key, least in MINIMUMS.items():
+        if cfg[key] < least:
+            raise UsageError(f"bad value for {key}: {cfg[key]} (must be at least {least})")
     # Every section is checked here, before any work; the fields the CLI
     # sets itself get valid placeholders.
     try:

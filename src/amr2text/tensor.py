@@ -6,6 +6,13 @@ concat, dropout, reshape/swap, and label-smoothed cross-entropy.  Arrays
 are float32 by default; gradient checking switches the default to float64
 for headroom.  Randomness comes from a counter-based generator keyed by
 (seed, tags) so any mask can be replayed in isolation.
+
+Every op records its node through ``_result``: its parents' nodes, a
+gradient slot and a backward rule that closes over only the arrays it reads
+(dropout's mask, relu's or softmax's output, the operand of mul or matmul
+whose partner needs a gradient).  An intermediate array is freed once its
+``Tensor`` is dropped unless a rule saved it.  A rule returns one gradient
+per parent, and ``Tensor.backward`` accumulates them.
 """
 
 from __future__ import annotations
@@ -82,10 +89,34 @@ class Rng:
         return np.random.Generator(bits)
 
 
-class Tensor:
-    """A numpy array plus an optional gradient and a recorded backward rule."""
+class _Node:
+    """One recorded op: its parents' nodes (None for a constant), its rule,
+    a gradient slot, and the output's shape and dtype but not its array."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
+    __slots__ = ("parents", "rule", "grad", "shape", "dtype")
+
+    def __init__(self, parents, rule, shape, dtype):
+        self.parents, self.rule, self.grad = parents, rule, None
+        self.shape, self.dtype = shape, dtype
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.add(g, 0, out=np.empty(self.shape, self.dtype))
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """A numpy array, an optional gradient, and the node of the op that made it.
+
+    A leaf that requires a gradient serves as its own node (no parents, no
+    rule, gradient in ``grad``) without pointing at itself, so parameters
+    are freed by reference counting alone.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "node")
+    parents = ()
+    rule = None
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -93,8 +124,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._backward = None
-        self._parents = ()
+        self.node = None
 
     @property
     def shape(self):
@@ -103,6 +133,10 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
+
+    # The recorded rule, under the name perfbench's tracer wraps.
+    _backward = property(lambda self: None if self.node is None else self.node.rule,
+                         lambda self, rule: setattr(self.node, "rule", rule))
 
     def item(self) -> float:
         return float(self.data)
@@ -121,47 +155,45 @@ class Tensor:
         """Reverse-topological gradient sweep from a scalar loss.
 
         The recorded graph is released as the sweep goes: once a node's
-        rule has run, its closure and parents are dropped, and so is its
-        gradient unless it is a leaf.  Only leaves keep ``.grad``.
+        rule has run, its rule, parents and gradient are dropped.  Only
+        leaves keep ``.grad``.
         """
         if self.data.size != 1:
             raise NonScalarLoss(f"loss must be scalar, got shape {self.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        root = self if self.node is None else self.node
+        topo, seen, stack = [], set(), [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node.parents
+                             if p is not None and id(p) not in seen)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-            if node._parents:
-                node.grad = None
-            node._backward = None
-            node._parents = ()
+            if node.rule is None:  # a leaf
+                continue
+            if node.grad is not None:
+                for parent, g in zip(node.parents, node.rule(node.grad)):
+                    if g is not None:
+                        parent._accumulate(g)
+            node.parents, node.rule, node.grad = (), None, None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+def _result(data: np.ndarray, parents: tuple[Tensor, ...], rule) -> Tensor:
+    """The op's output, with a node when recording: the one place a node is
+    made.  ``rule(g)`` returns one gradient, or None, per parent."""
     out = Tensor(data, dtype=data.dtype)
-    tracked = tuple(p for p in parents if p.requires_grad)
-    if _GRAD_ENABLED and tracked:
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tracked
-        out._backward = backward
+        nodes = tuple((p.node or p) if p.requires_grad else None for p in parents)
+        out.node = _Node(nodes, rule, data.shape, data.dtype)
     return out
 
 
@@ -186,15 +218,12 @@ def add(a, b) -> Tensor:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeMismatch("add", a.shape, b.shape) from None
-    data = a.data + b.data
+    shapes = [p.shape if p.requires_grad else None for p in (a, b)]
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+    def rule(g):
+        return tuple(None if s is None else _unbroadcast(g, s) for s in shapes)
 
-    return _result(data, (a, b), backward)
+    return _result(a.data + b.data, (a, b), rule)
 
 
 def mul(a, b) -> Tensor:
@@ -203,52 +232,46 @@ def mul(a, b) -> Tensor:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeMismatch("mul", a.shape, b.shape) from None
-    data = a.data * b.data
+    # Each operand is saved only for the other's gradient.
+    shape_a, shape_b = a.shape, b.shape
+    saved_b = b.data if a.requires_grad else None
+    saved_a = a.data if b.requires_grad else None
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+    def rule(g):
+        return (None if saved_b is None else _unbroadcast(g * saved_b, shape_a),
+                None if saved_a is None else _unbroadcast(g * saved_a, shape_b))
 
-    return _result(data, (a, b), backward)
+    return _result(a.data * b.data, (a, b), rule)
 
 
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.ndim < 1 or b.ndim < 1 or a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ShapeMismatch("matmul", a.shape, b.shape)
-    data = a.data @ b.data
+    shape_a, shape_b = a.shape, b.shape
+    saved_b = b.data if a.requires_grad else None
+    saved_a = a.data if b.requires_grad else None
 
-    def backward(g):
-        if b.ndim == 2 and a.ndim > 2:
+    def rule(g):
+        if len(shape_b) == 2 and len(shape_a) > 2:
             # Activations times a weight: one 2-D GEMM over the flattened
             # leading dims, not one per leading index.  The forward stays
             # stacked; decoding runs no backward, so its bits stay put.
-            k, n = b.shape
-            if a.requires_grad:
-                a._accumulate((g.reshape(-1, n) @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
-            return
-        if a.requires_grad:
-            ga = g @ b.data.swapaxes(-1, -2)
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = a.data.swapaxes(-1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.shape))
+            k, n = shape_b
+            return (None if saved_b is None else (g.reshape(-1, n) @ saved_b.T).reshape(shape_a),
+                    None if saved_a is None else saved_a.reshape(-1, k).T @ g.reshape(-1, n))
+        return (None if saved_b is None else _unbroadcast(g @ saved_b.swapaxes(-1, -2), shape_a),
+                None if saved_a is None else _unbroadcast(saved_a.swapaxes(-1, -2) @ g, shape_b))
 
-    return _result(data, (a, b), backward)
+    return _result(a.data @ b.data, (a, b), rule)
 
 
 def relu(x: Tensor) -> Tensor:
     x = _coerce(x)
+    # Saves its output, not a mask: the output is positive where x is, the
+    # next matmul saves it anyway, and no comparison runs in the forward.
     data = np.maximum(x.data, 0)
-
-    def backward(g):
-        x._accumulate(g * (x.data > 0))
-
-    return _result(data, (x,), backward)
+    return _result(data, (x,), lambda g: (g * (data > 0),))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -256,12 +279,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        x._accumulate((g - dot) * data)
-
-    return _result(data, (x,), backward)
+    return _result(data, (x,), lambda g: ((g - (g * data).sum(axis=axis, keepdims=True)) * data,))
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -275,43 +293,38 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    saved_gain = gain.data if x.requires_grad else None
+    need_gain, need_bias = gain.requires_grad, bias.requires_grad
 
-    def backward(g):
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).reshape(-1, n).sum(axis=0))
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, n).sum(axis=0))
-        if x.requires_grad:
-            dxhat = g * gain.data
+    def rule(g):
+        gx = None
+        if saved_gain is not None:
+            dxhat = g * saved_gain
             term = dxhat.sum(axis=-1, keepdims=True) + xhat * (dxhat * xhat).sum(
                 axis=-1, keepdims=True
             )
-            x._accumulate(inv * (dxhat - term / n))
+            gx = inv * (dxhat - term / n)
+        return (gx, (g * xhat).reshape(-1, n).sum(axis=0) if need_gain else None,
+                g.reshape(-1, n).sum(axis=0) if need_bias else None)
 
-    return _result(data, (x, gain, bias), backward)
+    return _result(xhat * gain.data + bias.data, (x, gain, bias), rule)
 
 
 def embed(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup; gradient scatter-adds into the table."""
+    """Row lookup; gradient scatter-adds into the table, a leaf."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(
             f"embedding id out of range: [{ids.min()}, {ids.max()}] vs table {table.shape[0]}"
         )
-    data = table.data[ids]
 
-    def backward(g):
+    def rule(g):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, ids, g)
+        return (None,)
 
-    out = Tensor(data, dtype=data.dtype)
-    if _GRAD_ENABLED and table.requires_grad:
-        out.requires_grad = True
-        out._parents = (table,)
-        out._backward = backward
-    return out
+    return _result(table.data[ids], (table,), rule)
 
 
 def concat_last_dim(parts: list[Tensor]) -> Tensor:
@@ -321,16 +334,13 @@ def concat_last_dim(parts: list[Tensor]) -> Tensor:
         if p.shape[:-1] != lead:
             raise ShapeMismatch("concat_last_dim", *(p.shape for p in parts))
     data = np.concatenate([p.data for p in parts], axis=-1)
-    widths = [p.shape[-1] for p in parts]
+    widths, needs = [p.shape[-1] for p in parts], [p.requires_grad for p in parts]
 
-    def backward(g):
-        offset = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p._accumulate(g[..., offset : offset + w])
-            offset += w
+    def rule(g):
+        pieces = np.split(g, np.cumsum(widths[:-1]), axis=-1)
+        return tuple(s if need else None for s, need in zip(pieces, needs))
 
-    return _result(data, tuple(parts), backward)
+    return _result(data, tuple(parts), rule)
 
 
 def dropout(x: Tensor, p: float, gen: np.random.Generator) -> Tensor:
@@ -340,35 +350,23 @@ def dropout(x: Tensor, p: float, gen: np.random.Generator) -> Tensor:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} outside [0, 1)")
     x = _coerce(x)
-    mask = (gen.random(x.shape) >= p) / (1.0 - p)
-    mask = mask.astype(x.data.dtype)
-    data = x.data * mask
+    keep, dtype = gen.random(x.shape) >= p, x.data.dtype
 
-    def backward(g):
-        x._accumulate(g * mask)
+    def rule(g):  # rebuilds the forward's scaled mask from the saved bool mask
+        return (g * (keep / (1.0 - p)).astype(dtype),)
 
-    return _result(data, (x,), backward)
+    return _result(x.data * (keep / (1.0 - p)).astype(dtype), (x,), rule)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     x = _coerce(x)
-    data = x.data.reshape(shape)
     old = x.shape
-
-    def backward(g):
-        x._accumulate(g.reshape(old))
-
-    return _result(data, (x,), backward)
+    return _result(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
     x = _coerce(x)
-    data = x.data.swapaxes(a, b)
-
-    def backward(g):
-        x._accumulate(g.swapaxes(a, b))
-
-    return _result(data, (x,), backward)
+    return _result(x.data.swapaxes(a, b), (x,), lambda g: (g.swapaxes(a, b),))
 
 
 def label_smoothed_nll(
@@ -398,12 +396,13 @@ def label_smoothed_nll(
     smooth = -logp.mean(axis=1)
     per_token = (1.0 - eps) * nll + eps * smooth
     value = per_token[nonpad].sum() / n
+    shape, dtype = logits.shape, logits.data.dtype
 
-    def backward(g):
+    def rule(g):
         probs = np.exp(logp)
         w = np.full_like(probs, eps / v)
         w[rows, flat_targets] += 1.0 - eps
         d = (probs - w) * nonpad[:, None] * (float(g) / n)
-        logits._accumulate(d.reshape(logits.shape).astype(logits.data.dtype))
+        return (d.reshape(shape).astype(dtype),)
 
-    return _result(np.asarray(value, dtype=flat_logits.dtype), (logits,), backward)
+    return _result(np.asarray(value, dtype=flat_logits.dtype), (logits,), rule)

@@ -785,6 +785,34 @@ def test_build_corpus_rejects_a_language_the_manifest_lacks(quickstart, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,key", [
+    (["human-eval-sheet", "--n-high", "-1", "--n-low", "5"], "sheet.n_high"),
+    (["human-eval-sheet", "--n-low", "-1"], "sheet.n_low"),
+    (["human-eval-sheet", "--min-words", "-1"], "sheet.min_words"),
+    (["pretrain-encoder", "--rounds", "0"], "noise.rounds"),
+    (["build-corpus", "--split-mode", "derive", "--derive-n", "0"], "corpus.derive_n"),
+    (["build-corpus", "--split-mode", "derive", "--derive-n", "-1"], "corpus.derive_n"),
+    (["train-bpe", "--merges", "-1"], "bpe.merges"),
+], ids=["n-high", "n-low", "min-words", "rounds", "derive-n-0", "derive-n-neg", "merges"])
+def test_out_of_range_count_exits_1_before_work(quickstart, tmp_path, capsys, flags, key):
+    """Integer keys that no dataclass holds are range-checked with the rest
+    of the config: a bad value is a usage error and no --out-dir is made."""
+    inputs = {
+        "human-eval-sheet": ["--hyp", f"{TOY}/test.en.txt", "--ref", f"{TOY}/test.en.txt",
+                             "--seed", "0"],
+        "pretrain-encoder": ["--amr", f"{TOY}/train.amr", "--bpe", quickstart["enc_bpe"],
+                             "--seed", "1", "--updates", "1"],
+        "build-corpus": ["--manifest", f"{TOY}/manifest.tsv", "--enc-bpe",
+                         quickstart["enc_bpe"], "--dec-bpe", quickstart["dec_bpe"]],
+        "train-bpe": ["--in", f"{TOY}/train.en.txt"],
+    }[flags[0]]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*flags, *inputs, "--out-dir", str(out)) == 1
+    assert not out.exists()
+    assert f"bad value for {key}" in capsys.readouterr().err
+
+
 def test_finetune_from_pretrained_checkpoints(quickstart, tmp_path):
     """train --encoder-ckpt/--decoder-ckpt loads both halves and keeps the
     configured learning-rate schedule: with no LR keys, the defaults."""

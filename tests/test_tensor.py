@@ -2,13 +2,18 @@
 
 Every primitive gets a central finite-difference check in float64; the
 graph machinery (toposort, accumulation, release) is exercised on shared
-and diamond-shaped graphs.
+and diamond-shaped graphs, and what the graph keeps alive is checked with
+weak references to its arrays.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from amr2text import tensor as T
+from amr2text.model import Dropout, EncoderInput, ModelConfig, build, decoder_forward, encode
 
 
 def fd_check(fn, inputs, rel_tol=1e-6, eps=1e-6):
@@ -248,8 +253,10 @@ def test_backward_requires_scalar():
 def test_backward_releases_graph():
     x = T.Tensor(np.array(2.0), requires_grad=True)
     z = T.mul(x, x)
+    node = z.node
+    assert node.parents == (x, x) and node.rule is not None
     z.backward()
-    assert z._parents == () and z._backward is None
+    assert node.parents == () and node.rule is None and node.grad is None
 
 
 def test_backward_keeps_leaf_grads_and_drops_interior_ones():
@@ -261,7 +268,7 @@ def test_backward_keeps_leaf_grads_and_drops_interior_ones():
     z.backward()
     np.testing.assert_array_equal(x.grad, [[3.0, 4.0]])
     np.testing.assert_array_equal(w.grad, [[1.0, 2.0]])
-    assert h.grad is None and s.grad is None and z.grad is None
+    assert all(t.grad is None and t.node.grad is None for t in (h, s, z))
 
 
 def test_zero_grad_and_accumulation():
@@ -301,8 +308,74 @@ def test_no_grad_blocks_recording():
     x = T.Tensor(np.array(2.0), requires_grad=True)
     with T.no_grad():
         z = T.mul(x, x)
-    assert z._parents == ()
+    assert z.node is None
     assert not z.requires_grad
+
+
+@pytest.mark.parametrize("op", ["add", "softmax", "relu"])
+def test_dropping_an_unread_input_frees_its_array(r, op):
+    """A matmul output that only feeds an op whose backward does not read
+    it is freed once its Tensor is dropped, and the gradients still flow."""
+    x = T.Tensor(rand(r, 4, 3), requires_grad=True)
+    w = T.Tensor(rand(r, 3, 5), requires_grad=True)
+    b = T.Tensor(rand(r, 5), requires_grad=True)
+    h = T.matmul(x, w)
+    freed = weakref.ref(h.data)
+    z = {"add": lambda: T.add(h, b), "softmax": lambda: T.softmax(h),
+         "relu": lambda: T.relu(h)}[op]()
+    del h
+    assert freed() is None
+    _proj((20,))(z).backward()
+    assert x.grad is not None and w.grad is not None
+
+
+def _rule_arrays(loss):
+    """Weak references to every array a rule in loss's graph closes over."""
+    refs, stack, seen = [], [loss.node], set()
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen or node.rule is None:
+            continue
+        seen.add(id(node))
+        cells = node.rule.__closure__ or ()
+        refs += [weakref.ref(c.cell_contents) for c in cells
+                 if isinstance(c.cell_contents, np.ndarray)]
+        stack.extend(node.parents)
+    return refs
+
+
+def _model_and_graph_refs():
+    cfg = ModelConfig(enc_vocab=17, dec_vocab=13, d_model=16, n_heads=2, ffn_dim=24,
+                      enc_layers=2, dec_layers=2, max_positions=24, d_word=6, d_pos=4,
+                      d_depth=3, d_subgraph=3)
+    params = build(cfg, seed=3)
+    rng = np.random.default_rng(0)
+    src = rng.integers(5, 17, (2, 6))
+    depth = rng.integers(0, 3, (2, 6))
+    tgt = rng.integers(5, 13, (2, 5))
+    drop = Dropout(0.1, 0.0, T.Rng(1), 1)
+    memory, mask = encode(params, EncoderInput(src, depth, depth, np.ones((2, 6), bool)), drop)
+    logits, _ = decoder_forward(params, memory, mask, tgt[:, :-1], drop)
+    loss = T.label_smoothed_nll(logits, tgt[:, 1:], 0.1, 0)
+    refs = _rule_arrays(loss) + [weakref.ref(loss.data), weakref.ref(logits.data)]
+    assert len(refs) > 50
+    loss.backward()
+    refs += [weakref.ref(a) for t in params.parameters() for a in (t.data, t.grad)]
+    return refs
+
+
+def test_model_and_graph_are_freed_by_reference_counting():
+    """No reference cycle holds a parameter or a graph array, so nothing
+    waits for the cycle collector (a leaf that pointed at itself as its
+    own node would)."""
+    gc.collect()
+    gc.disable()
+    try:
+        refs = _model_and_graph_refs()
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert alive == 0
 
 
 def test_shape_mismatch_raises():
